@@ -3,7 +3,9 @@
 Everything runs in float64 so that analytic gradients can be compared
 against central finite differences at tight tolerances. The op set is
 exactly what the encoder, the recurrent heads, and the losses need;
-no attempt is made to be a general framework.
+no attempt is made to be a general framework. Each recurrent head is one
+fused `lstm` node whose backward is hand-written BPTT; like every other
+op, it is checked against finite differences.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ class Tensor:
         def backward(g):
             if self.requires_grad:
                 full = np.zeros_like(self.data)
-                full[index] = g
+                np.add.at(full, index, g)    # an index array may repeat entries
                 self._accumulate(full)
 
         return Tensor._result(out_data, (self,), backward)
@@ -231,13 +233,13 @@ class Tensor:
         # gradient checks clean (ReLU kinks would not)
         c = np.sqrt(2.0 / np.pi)
         x = self.data
-        inner = c * (x + 0.044715 * x ** 3)
+        inner = c * (x + 0.044715 * (x * x * x))
         t = np.tanh(inner)
         out_data = 0.5 * x * (1.0 + t)
 
         def backward(g):
             if self.requires_grad:
-                d_inner = c * (1.0 + 3 * 0.044715 * x ** 2)
+                d_inner = c * (1.0 + 3 * 0.044715 * (x * x))
                 grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner
                 self._accumulate(g * grad)
 
@@ -262,12 +264,10 @@ def _as_tensor(x) -> Tensor:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # the overflow-free forms 1 / (1 + exp(-x)) for x >= 0 and
+    # exp(x) / (1 + exp(x)) below, selected without boolean indexing:
+    # exp(min(x, 0)) is exactly 1 for x >= 0
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def _unbroadcast(grad, shape):
@@ -292,6 +292,82 @@ def rows(table: Tensor, ids: np.ndarray) -> Tensor:
             table._accumulate(full)
 
     return Tensor._result(out_data, (table,), backward)
+
+
+def lstm(x: Tensor, mask: np.ndarray, wx: Tensor, bx: Tensor, wh: Tensor,
+         bh: Tensor) -> Tensor:
+    """Final hidden state (B, h) of a masked one-direction LSTM, as one node.
+
+    x: (B, T, d); mask: (B, T), 1 = real token; wx: (d, 4h); wh: (h, 4h).
+    Gate blocks are ordered input, forget, cell, output. The recurrence
+    stops at the first all-PAD column, and a row's padded steps carry its
+    state forward, so each row ends at the state of its last real token.
+    The backward is hand-written BPTT over the same masked carry.
+    """
+    B, T, d = x.shape
+    h = wh.shape[0]
+    mask = np.asarray(mask, dtype=np.float64)
+    pad_columns = np.flatnonzero(~mask.any(axis=0))
+    steps = int(pad_columns[0]) if pad_columns.size else T
+    m_all = mask[:, :steps, None]
+    keep_all = 1.0 - m_all                        # padded steps keep the old state
+    x_used = x.data[:, :steps]
+    xg = x_used @ wx.data + bx.data               # (B, steps, 4h)
+
+    hs = np.zeros((B, steps + 1, h))              # hs[:, t]: state before step t
+    cs = np.zeros((B, steps + 1, h))
+    acts = np.empty((B, steps, 4, h))             # sigmoid i, f, o; tanh g
+    tcs = np.empty((B, steps, h))                 # tanh of the unmasked new cell
+    i_g, f_g, g_g, o_g = (acts[:, :, k] for k in range(4))
+    for t in range(steps):
+        h_t, c_t, m, keep = hs[:, t], cs[:, t], m_all[:, t], keep_all[:, t]
+        gates = xg[:, t] + h_t @ wh.data + bh.data
+        acts[:, t] = _sigmoid(gates).reshape(B, 4, h)
+        g_g[:, t] = np.tanh(gates[:, 2 * h:3 * h])
+        c_new = f_g[:, t] * c_t + i_g[:, t] * g_g[:, t]
+        tcs[:, t] = np.tanh(c_new)
+        h_new = o_g[:, t] * tcs[:, t]
+        cs[:, t + 1] = m * c_new + keep * c_t
+        hs[:, t + 1] = m * h_new + keep * h_t
+
+    def backward(g):
+        # d gate pre-activation / d c_new for i, f, g and / d h_new for o,
+        # for every step at once
+        local = np.empty_like(acts)
+        local[:, :, 0] = g_g * i_g * (1.0 - i_g)
+        local[:, :, 1] = cs[:, :steps] * f_g * (1.0 - f_g)
+        local[:, :, 2] = i_g * (1.0 - g_g * g_g)
+        local[:, :, 3] = tcs * o_g * (1.0 - o_g)
+        dc_dh = o_g * (1.0 - tcs * tcs)           # d c_new / d h_new
+        wh_t = wh.data.T
+
+        dxg = np.empty_like(acts)
+        dh = g
+        dc = np.zeros((B, h))
+        for t in reversed(range(steps)):
+            m, keep = m_all[:, t], keep_all[:, t]
+            dh_new = m * dh
+            dc_new = m * dc + dh_new * dc_dh[:, t]
+            dxg[:, t, :3] = dc_new[:, None] * local[:, t, :3]
+            dxg[:, t, 3] = dh_new * local[:, t, 3]
+            dc = keep * dc + dc_new * f_g[:, t]
+            dh = keep * dh + dxg[:, t].reshape(B, 4 * h) @ wh_t
+
+        flat = dxg.reshape(B * steps, 4 * h)
+        if x.requires_grad:
+            dx = np.zeros_like(x.data)
+            dx[:, :steps] = (flat @ wx.data.T).reshape(B, steps, d)
+            x._accumulate(dx)
+        if wx.requires_grad:
+            wx._accumulate(x_used.reshape(B * steps, d).T @ flat)
+        if wh.requires_grad:
+            wh._accumulate(hs[:, :steps].reshape(B * steps, h).T @ flat)
+        db = flat.sum(axis=0)
+        for bias in (bx, bh):
+            if bias.requires_grad:
+                bias._accumulate(db)
+
+    return Tensor._result(hs[:, steps].copy(), (x, wx, bx, wh, bh), backward)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:

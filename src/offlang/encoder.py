@@ -114,7 +114,7 @@ def encode(params: dict[str, Tensor], config: EncoderConfig,
     mask = np.asarray(mask, dtype=np.float64)
     if ids.ndim != 2:
         raise ValueError("ids must be (batch, max_len)")
-    if ids.max(initial=0) >= config.vocab_size:
+    if ids.min(initial=0) < 0 or ids.max(initial=0) >= config.vocab_size:
         raise ValueError("token id out of vocabulary range")
 
     B, T = ids.shape

@@ -116,11 +116,11 @@ def majority_vote(member_predictions, task: str) -> list[str]:
     from .mtl import TASK_CLASSES
 
     classes = TASK_CLASSES[task]
+    if not member_predictions:
+        raise ValueError("need at least one ensemble member")
     lengths = {len(m) for m in member_predictions}
     if len(lengths) != 1:
         raise ValueError("ensemble members predicted different example counts")
-    if not member_predictions:
-        raise ValueError("need at least one ensemble member")
 
     n = lengths.pop()
     results = []

@@ -1,9 +1,10 @@
 """Multi-task model: shared encoder, three LSTM task heads, weighted loss,
 plus the single-task linear baseline.
 
-Each head runs a unidirectional LSTM over the unmasked embedding sequence
-and projects its final hidden state to class logits. The baseline projects
-the CLS embedding directly. NULL is an ordinary class for heads B and C.
+Each head runs a unidirectional LSTM (one fused `autodiff.lstm` node) over
+the unmasked embedding sequence and projects its final hidden state to
+class logits. The baseline projects the CLS embedding directly. NULL is an
+ordinary class for heads B and C.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .autodiff import Tensor, cross_entropy
+from .autodiff import Tensor, cross_entropy, lstm
 from .corpus import LabeledExample, TaskLabelA, TaskLabelB, TaskLabelC
 from .encoder import EncoderConfig, encode as encoder_forward, init_encoder
 from .tokenizer import Vocabulary, encode_batch
@@ -109,43 +110,16 @@ class MtlModel:
     def encode(self, ids, mask, rng=None) -> Tensor:
         return encoder_forward(self.params, self.encoder_config, ids, mask, rng)
 
-    def _run_lstm(self, task: str, embeddings: Tensor, mask: np.ndarray) -> Tensor:
-        B, T, _ = embeddings.shape
-        h = self.head_config.hidden
-        wx = self.params[f"head_{task}.lstm.x.w"]
-        bx = self.params[f"head_{task}.lstm.x.b"]
-        wh = self.params[f"head_{task}.lstm.h.w"]
-        bh = self.params[f"head_{task}.lstm.h.b"]
-        h_t = Tensor(np.zeros((B, h)))
-        c_t = Tensor(np.zeros((B, h)))
-        mask = np.asarray(mask, dtype=np.float64)
-        for t in range(T):
-            if mask[:, t].sum() == 0.0:
-                break  # everything past here is padding
-            x_t = embeddings[:, t, :]
-            gates = x_t @ wx + bx + h_t @ wh + bh
-            i_g = gates[:, 0 * h:1 * h].sigmoid()
-            f_g = gates[:, 1 * h:2 * h].sigmoid()
-            g_g = gates[:, 2 * h:3 * h].tanh()
-            o_g = gates[:, 3 * h:4 * h].sigmoid()
-            c_new = f_g * c_t + i_g * g_g
-            h_new = o_g * c_new.tanh()
-            m = Tensor(mask[:, t:t + 1])
-            # padded steps carry the previous state forward, so the final
-            # state is the state at each sequence's last real token
-            c_t = m * c_new + (1.0 - m) * c_t
-            h_t = m * h_new + (1.0 - m) * h_t
-        return h_t
-
     def logits_mtl(self, ids, mask, rng=None) -> dict[str, Tensor]:
         if len(np.asarray(ids)) == 0:
             raise ValueError("empty batch")
         emb = self.encode(ids, mask, rng)
+        p = self.params
         out = {}
         for task in TASKS:
-            h_final = self._run_lstm(task, emb, mask)
-            out[task] = h_final @ self.params[f"head_{task}.out.w"] \
-                + self.params[f"head_{task}.out.b"]
+            lstm_params = (p[f"head_{task}.lstm.{k}"] for k in ("x.w", "x.b", "h.w", "h.b"))
+            h_final = lstm(emb, mask, *lstm_params)
+            out[task] = h_final @ p[f"head_{task}.out.w"] + p[f"head_{task}.out.b"]
         return out
 
     def logits_baseline(self, ids, mask, rng=None) -> Tensor:

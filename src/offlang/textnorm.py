@@ -279,7 +279,9 @@ def normalize(tweet: RawTweet, table: EmojiTable, unigrams: UnigramTable,
 
     text = tweet.text.lower().strip()
     text = emoji_to_words(text, table)
-    text = _HASHTAG.sub(lambda m: segmented.get(m.group(1), segment_hashtag(m.group(1), unigrams)), text)
+    # a body not seen in the original text is segmented on demand
+    text = _HASHTAG.sub(lambda m: segmented[m.group(1)] if m.group(1) in segmented
+                        else segment_hashtag(m.group(1), unigrams), text)
     text = collapse_mentions(text)
     text = substitute_rare(text, substitutions)
     return NormalizedTweet(id=tweet.id, text=text, steps_applied=STEP_ORDER)

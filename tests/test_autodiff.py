@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from offlang.autodiff import Tensor, cross_entropy, dropout, rows
+from offlang.autodiff import Tensor, _sigmoid, cross_entropy, dropout, lstm, rows
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -74,6 +74,34 @@ class TestOps:
         a = RNG.normal(size=(4, 6, 8))
         check(lambda x: (x[:, 2, :] * x[:, 0, 1:3].sum()).sum(), a)
 
+    def test_getitem_repeated_indices_accumulate(self):
+        x = Tensor(np.array([5.0, 6.0, 7.0]), requires_grad=True)
+        x[np.array([0, 0, 1])].sum().backward()
+        assert x.grad.tolist() == [2.0, 1.0, 0.0]
+        a = RNG.normal(size=(3, 4))
+        check(lambda x: (x[np.array([2, 0, 2]), np.array([1, 3, 1])] ** 2.0).sum(), a)
+
+    def test_gelu_matches_float_power_form(self):
+        x = RNG.normal(size=(4, 16, 32)) * 1.5
+        c = np.sqrt(2.0 / np.pi)
+        t = np.tanh(c * (x + 0.044715 * x ** 3))
+        out = Tensor(x, requires_grad=True)
+        y = out.gelu()
+        y.sum().backward()
+        np.testing.assert_allclose(y.data, 0.5 * x * (1.0 + t), rtol=1e-14, atol=0)
+        d_inner = c * (1.0 + 3 * 0.044715 * x ** 2)
+        grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner
+        np.testing.assert_allclose(out.grad, grad, rtol=1e-14, atol=0)
+
+    def test_sigmoid_matches_indexed_form(self):
+        x = np.concatenate([RNG.normal(size=4000) * 20,
+                            [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, 5e-324, -5e-324]])
+        pos = x >= 0
+        want = np.empty_like(x)
+        want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        want[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+        assert np.array_equal(_sigmoid(x), want)
+
     def test_reshape_transpose(self):
         a = RNG.normal(size=(2, 3, 4))
         check(lambda x: (x.transpose(1, 0, 2).reshape(3, 8) ** 2.0).sum(), a)
@@ -140,3 +168,95 @@ class TestMachinery:
         x = Tensor(np.ones((200, 200)))
         out = dropout(x, 0.3, rng)
         assert abs(out.data.mean() - 1.0) < 0.01
+
+
+def reference_lstm(x: Tensor, mask: np.ndarray, wx: Tensor, bx: Tensor,
+                   wh: Tensor, bh: Tensor) -> Tensor:
+    """Per-step reference for `lstm`: about 20 Tensor ops per time step."""
+    B, T, _ = x.shape
+    h = wh.shape[0]
+    h_t = Tensor(np.zeros((B, h)))
+    c_t = Tensor(np.zeros((B, h)))
+    mask = np.asarray(mask, dtype=np.float64)
+    for t in range(T):
+        if mask[:, t].sum() == 0.0:
+            break  # everything past here is padding
+        x_t = x[:, t, :]
+        gates = x_t @ wx + bx + h_t @ wh + bh
+        i_g = gates[:, 0 * h:1 * h].sigmoid()
+        f_g = gates[:, 1 * h:2 * h].sigmoid()
+        g_g = gates[:, 2 * h:3 * h].tanh()
+        o_g = gates[:, 3 * h:4 * h].sigmoid()
+        c_new = f_g * c_t + i_g * g_g
+        h_new = o_g * c_new.tanh()
+        m = Tensor(mask[:, t:t + 1])
+        # padded steps carry the previous state forward, so the final
+        # state is the state at each sequence's last real token
+        c_t = m * c_new + (1.0 - m) * c_t
+        h_t = m * h_new + (1.0 - m) * h_t
+    return h_t
+
+
+D, H, T = 8, 5, 7
+# ragged rows: CLS only, full length, two in between; the last column is
+# PAD in every row, so the recurrence stops before it
+MASK = np.array([
+    [1, 0, 0, 0, 0, 0, 0],
+    [1, 1, 1, 1, 1, 1, 0],
+    [1, 1, 1, 0, 0, 0, 0],
+    [1, 1, 1, 1, 1, 0, 0],
+])
+
+
+def random_inputs(seed, batch=len(MASK)):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(batch, T, D)), rng.normal(size=(D, 4 * H)) * 0.5,
+            rng.normal(size=4 * H) * 0.5, rng.normal(size=(H, 4 * H)) * 0.5,
+            rng.normal(size=4 * H) * 0.5]
+
+
+def grads_of(op, arrays, mask, weights):
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = op(tensors[0], mask, *tensors[1:])
+    (out * Tensor(weights)).sum().backward()
+    return out.data, [t.grad for t in tensors]
+
+
+class TestLstm:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fused_matches_per_step_reference(self, seed):
+        arrays = random_inputs(seed)
+        weights = np.random.default_rng(seed + 100).normal(size=(len(MASK), H))
+        out, grads = grads_of(lstm, arrays, MASK, weights)
+        ref_out, ref_grads = grads_of(reference_lstm, arrays, MASK, weights)
+        assert np.array_equal(out, ref_out)
+        for name, g, ref in zip(("x", "wx", "bx", "wh", "bh"), grads, ref_grads):
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), name
+        # nothing reaches the all-PAD tail column
+        assert not grads[0][:, -1].any()
+
+    def test_single_row_matches_reference(self):
+        # the reference's (1, d) @ (d, 4h) takes numpy's matrix-vector path
+        # and the fused (1, steps, d) @ (d, 4h) does not, so the last bits of
+        # the state may differ; |h| < 1, so the tolerance is absolute
+        arrays = random_inputs(3, batch=1)
+        mask = np.array([[1, 1, 1, 0, 0, 0, 0]])
+        weights = np.ones((1, H))
+        out, grads = grads_of(lstm, arrays, mask, weights)
+        ref_out, ref_grads = grads_of(reference_lstm, arrays, mask, weights)
+        assert np.abs(out - ref_out).max() <= 1e-15
+        for g, ref in zip(grads, ref_grads):
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_finite_differences(self):
+        arrays = random_inputs(4)
+        weights = np.random.default_rng(5).normal(size=(len(MASK), H))
+        check(lambda x, wx, bx, wh, bh:
+              (lstm(x, MASK, wx, bx, wh, bh) * Tensor(weights)).sum(), *arrays)
+
+    def test_all_pad_first_column_gives_zero_state(self):
+        tensors = [Tensor(a, requires_grad=True) for a in random_inputs(6)]
+        out = lstm(tensors[0], np.zeros((len(MASK), T)), *tensors[1:])
+        assert out.shape == (len(MASK), H) and not out.data.any()
+        out.sum().backward()
+        assert all(not t.grad.any() for t in tensors)

@@ -78,6 +78,16 @@ class TestForward:
         with pytest.raises(ValueError):
             encode(params, cfg, ids, mask)
 
+    def test_negative_id(self):
+        cfg = tiny_config()
+        params = init_encoder(cfg, seed=0)
+        ids, mask = pad_batch([2, 3], 8)
+        ids[0, 1] = -1
+        with pytest.raises(ValueError, match="out of vocabulary range"):
+            encode(params, cfg, ids, mask)
+        ids[0, 1] = cfg.vocab_size - 1
+        encode(params, cfg, ids, mask)
+
     def test_finite_outputs_over_random_inputs(self):
         cfg = tiny_config()
         params = init_encoder(cfg, seed=3)

@@ -170,6 +170,10 @@ class TestMajorityVote:
         with pytest.raises(ValueError):
             majority_vote([[_pred([1, 0])], [_pred([1, 0]), _pred([1, 0])]], "a")
 
+    def test_no_members(self):
+        with pytest.raises(ValueError, match="at least one ensemble member"):
+            majority_vote([], "a")
+
 
 class TestThresholdSearch:
     def _scored(self, scores):

@@ -1,5 +1,6 @@
 import pytest
 
+from offlang import textnorm
 from offlang.textnorm import (
     EmojiTable,
     RawTweet,
@@ -9,6 +10,7 @@ from offlang.textnorm import (
     collapse_mentions,
     emoji_to_words,
     normalize,
+    segment_hashtag,
     substitute_rare,
 )
 
@@ -63,6 +65,29 @@ class TestNormalize:
     def test_empty_id_rejected(self):
         with pytest.raises(ValueError):
             RawTweet(id="", text="x")
+
+    @pytest.mark.parametrize("text, expected", [
+        ("@USER @USER \U0001F44D #MAGA is a #JokeOfTheDay URL",
+         "@users thumbs up maga is a joke of the day http"),
+        ("Love this \U0001F602\U0001F602 #BuildTheWall #buildthewall URL URL",
+         "love this face with tears of joy face with tears of joy "
+         "build the wall build the wall http http"),
+        ("#A #HTTP #x1 no emoji @USER", "a http x1 no emoji @user"),
+    ])
+    def test_decorated_tweets(self, text, expected, emoji, unigrams):
+        assert normalize(RawTweet(id="1", text=text), emoji, unigrams).text == expected
+
+    def test_each_hashtag_segmented_once(self, emoji, unigrams, monkeypatch):
+        calls = []
+
+        def counting(tag, table):
+            calls.append(tag)
+            return segment_hashtag(tag, table)
+
+        monkeypatch.setattr(textnorm, "segment_hashtag", counting)
+        out = normalize(RawTweet(id="1", text="#MAGA is a #JokeOfTheDay"), emoji, unigrams)
+        assert out.text == "maga is a joke of the day"
+        assert calls == ["MAGA", "JokeOfTheDay"]
 
 
 class TestEmojiToWords:
