@@ -7,8 +7,9 @@ round-trips bit-exactly (arrays are float64 end to end).
 
 from __future__ import annotations
 
-import io
+import dataclasses
 import json
+import zipfile
 
 import numpy as np
 
@@ -36,20 +37,44 @@ def save_checkpoint(path, model: MtlModel, vocab: Vocabulary,
         np.savez(handle, **arrays)
 
 
+def _config(cls, section):
+    """Build a config dataclass from a metadata section with exactly its keys."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    if not isinstance(section, dict) or set(section) != names:
+        raise ValueError(f"{cls.__name__} metadata must have exactly the keys "
+                         f"{sorted(names)}")
+    return cls(**section)
+
+
 def load_checkpoint(path) -> tuple[MtlModel, Vocabulary, LossWeights]:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+    """Read a checkpoint written by `save_checkpoint`.
+
+    A missing or unreadable file raises OSError. Any other file that is not
+    a valid checkpoint raises one ValueError that names the path.
+    """
+    if not zipfile.is_zipfile(path):
+        with open(path, "rb"):  # a missing or unreadable file raises OSError here
+            pass
+        raise ValueError(f"{path} is not a valid checkpoint: not a zip archive")
+    try:
+        with np.load(path) as data:
+            if "meta" not in data.files:
+                raise ValueError("no metadata entry")
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+            arrays = {
+                key[len("param/"):]: data[key]
+                for key in data.files
+                if key.startswith("param/")
+            }
         if meta["version"] != FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        arrays = {
-            key[len("param/"):]: data[key]
-            for key in data.files
-            if key.startswith("param/")
-        }
-    model = MtlModel(
-        EncoderConfig(**meta["encoder"]), HeadConfig(**meta["head"]), seed=0
-    )
-    model.load_state_arrays(arrays)
-    vocab = Vocabulary.from_lines(meta["vocab"])
-    weights = LossWeights(*meta["loss_weights"])
+        model = MtlModel(_config(EncoderConfig, meta["encoder"]),
+                         _config(HeadConfig, meta["head"]), seed=0)
+        model.load_state_arrays(arrays)
+        vocab = Vocabulary.from_lines(meta["vocab"])
+        weights = LossWeights(*meta["loss_weights"])
+    except KeyError as err:
+        raise ValueError(f"{path} is not a valid checkpoint: no metadata key {err}") from err
+    except (TypeError, ValueError, zipfile.BadZipFile) as err:
+        raise ValueError(f"{path} is not a valid checkpoint: {err}") from err
     return model, vocab, weights

@@ -228,6 +228,10 @@ def cmd_threshold_search(args) -> int:
     scored = corpus.load_scored(args.scored, context)
     labeled = corpus.load_labeled(args.labels, context)
     by_id = {ex.tweet.id: ex.labels.a.value for ex in labeled}
+    missing = [ex.tweet.id for ex in scored if ex.tweet.id not in by_id]
+    if missing:
+        raise ValueError(f"{len(missing)} scored ids have no label in {args.labels}, "
+                         f"e.g. {missing[0]!r}")
     golds = [by_id[ex.tweet.id] for ex in scored]
     grid = [float(x) for x in args.grid.split(",")]
     best, degenerate = evaluation.threshold_search(scored, golds, grid)

@@ -197,12 +197,6 @@ def mtl_loss(logits: dict[str, Tensor], targets: dict[str, np.ndarray],
     return total, per_task, empty
 
 
-def weighted_total(l_a: float, l_b: float, l_c: float, weights: LossWeights) -> float:
-    """The overall loss as plain arithmetic on already-computed task losses."""
-    w = weights.as_tuple()
-    return w[0] * l_a + w[1] * l_b + w[2] * l_c
-
-
 def predict(model: MtlModel, vocab: Vocabulary, context, raw_text: str,
             tweet_id: str = "query") -> PredictionTriple:
     """End-to-end single-input inference: normalize, encode, forward."""

@@ -34,9 +34,13 @@ _EMOJI_RANGES = (
 )
 
 
+_EMOJI_CHAR = re.compile(
+    "[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _EMOJI_RANGES) + "]"
+)
+
+
 def _is_emoji_char(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _EMOJI_RANGES)
+    return _EMOJI_CHAR.match(ch) is not None
 
 
 @dataclass(frozen=True)
@@ -137,10 +141,11 @@ def emoji_to_words(text: str, table: EmojiTable) -> str:
     from the table are dropped and tallied in a warning. Text without emoji
     is returned unchanged.
     """
-    out: list[str] = []
-    i = 0
-    replaced = False
+    # plain-text runs at even indices, emoji names ("" if dropped) between
+    pieces: list[str] = []
+    run_start = 0
     unknown = 0
+    i = 0
     n = len(text)
     while i < n:
         match = None
@@ -150,24 +155,29 @@ def emoji_to_words(text: str, table: EmojiTable) -> str:
                 match = candidate
                 break
         if match is not None:
-            out.append("\x00" + table.entries[match] + "\x00")
+            pieces += [text[run_start:i], table.entries[match]]
             i += len(match)
-            replaced = True
         elif _is_emoji_char(text[i]):
-            out.append("\x00\x00")
+            pieces += [text[run_start:i], ""]
             unknown += 1
             i += 1
-            replaced = True
         else:
-            out.append(text[i])
             i += 1
-    if not replaced:
+            continue
+        run_start = i
+    if not pieces:
         return text
     if unknown:
         log.warning("dropped %d emoji absent from the emoji table", unknown)
-    result = re.sub(r"\s*\x00(?:([^\x00]*)\x00\s*)?", lambda m: f" {m.group(1) or ''} ", "".join(out))
-    result = re.sub(r" {2,}", " ", result)
-    return result.strip()
+    pieces.append(text[run_start:])
+    # whitespace next to an emoji collapses into the single space around its name
+    last = len(pieces) - 1
+    for k in range(0, last + 1, 2):
+        if k > 0:
+            pieces[k] = pieces[k].lstrip()
+        if k < last:
+            pieces[k] = pieces[k].rstrip()
+    return re.sub(r" {2,}", " ", " ".join(pieces)).strip()
 
 
 def _capital_runs(tag: str) -> list[str]:
@@ -218,27 +228,6 @@ def _dp_segment(text: str, unigrams: UnigramTable) -> tuple[str, ...]:
             if _better(cand, best[end]):
                 best[end] = cand
     return best[n][2]
-
-
-def brute_force_segment(text: str, unigrams: UnigramTable) -> tuple[str, ...]:
-    """Enumerate all 2^(n-1) segmentations; oracle for the DP."""
-    n = len(text)
-    if n == 0:
-        return ()
-    best = None
-    for bits in range(1 << (n - 1)):
-        words = []
-        start = 0
-        for i in range(1, n):
-            if bits & (1 << (i - 1)):
-                words.append(text[start:i])
-                start = i
-        words.append(text[start:])
-        score = sum(unigrams.log_prob(w) for w in words)
-        cand = (score, len(words), tuple(words))
-        if _better(cand, best):
-            best = cand
-    return best[2]
 
 
 def collapse_mentions(text: str) -> str:

@@ -1,5 +1,7 @@
-"""Training loop with early stopping, MSE regression pre-training on
-confidence scores, Adam, and finite-difference gradient verification.
+"""Training: one Adam epoch loop, `fit`, with early stopping, shared by
+multi-task training (`train`), the single-task baseline (`train_baseline`)
+and MSE regression pre-training on confidence scores
+(`pretrain_regression`); plus finite-difference gradient verification.
 """
 
 from __future__ import annotations
@@ -8,16 +10,10 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .autodiff import Tensor
+from . import evaluation
+from .autodiff import Tensor, cross_entropy
 from .corpus import LabeledExample, ScoredExample
-from .evaluation import macro_f1
-from .mtl import (
-    MtlModel,
-    LossWeights,
-    TASK_CLASSES,
-    batch_targets,
-    mtl_loss,
-)
+from .mtl import TASK_CLASSES, LossWeights, MtlModel, batch_targets, mtl_loss
 from .tokenizer import Vocabulary, encode_batch
 
 
@@ -126,85 +122,80 @@ def _minibatches(n, batch_size, rng):
         yield order[start:start + batch_size]
 
 
-def train_accuracy(model, ids, mask, targets):
-    """Per-task argmax accuracy over an encoded batch."""
-    preds = model.forward_mtl(ids, mask)
-    out = {}
-    for task in ("a", "b", "c"):
-        hit = sum(
-            1
-            for p, t in zip(preds, targets[task])
-            if np.argmax(p.probs(task)) == t
-        )
-        out[task] = hit / len(preds)
-    return out
-
-
 def validation_f1(model, examples, vocab):
     """Macro-F1 per task on a labeled corpus."""
-    ids, mask = _encode_examples(examples, vocab, model.encoder_config.max_len)
-    preds = model.forward_mtl(ids, mask)
-    scores = {}
-    for task in ("a", "b", "c"):
-        golds = [getattr(ex.labels, task).value for ex in examples]
-        scores[task] = macro_f1(
-            golds, [p.label(task) for p in preds], TASK_CLASSES[task]
-        )
-    return scores
+    report = evaluation.evaluate(model, vocab, examples)
+    return {task: r.macro_f1 for task, r in report.tasks.items()}
+
+
+def fit(params: dict[str, Tensor], n: int, step_loss, config: TrainConfig,
+        rng: np.random.Generator, validate=None) -> TrainHistory:
+    """Adam epochs over shuffled mini-batches of `n` encoded examples.
+
+    `step_loss(batch, drop_rng)` returns the scalar loss of one index
+    batch; `drop_rng` is `rng` when dropout is on and None otherwise. After
+    each epoch `validate()`, if given, returns per-task F1: training stops
+    when F1(A) fails to strictly improve for `patience` consecutive epochs,
+    and the parameters of the best epoch are restored. Without `validate`
+    every epoch runs and the last parameters are kept.
+    """
+    optimizer = Adam(params, config.learning_rate)
+    history = TrainHistory()
+    stopper = EarlyStopper(config.patience)
+    best_state = {name: t.data.copy() for name, t in params.items()}
+
+    for epoch in range(1, config.max_epochs + 1):
+        epoch_losses = []
+        for batch in _minibatches(n, config.batch_size, rng):
+            loss = step_loss(batch, rng if config.use_dropout else None)
+            if not np.isfinite(loss.data):
+                raise NonFiniteLossError(f"non-finite loss at epoch {epoch}")
+            for tensor in params.values():
+                tensor.grad = None
+            loss.backward()
+            optimizer.step()
+            epoch_losses.append(float(loss.data))
+        history.train_loss.append(float(np.mean(epoch_losses)))
+        history.stopped_epoch = epoch
+        if validate is None:
+            continue
+
+        scores = validate()
+        for task in ("a", "b", "c"):
+            history.val_f1[task].append(scores[task])
+        stop = stopper.update(scores["a"], epoch)
+        if stopper.best_epoch == epoch:
+            history.best_epoch = epoch
+            best_state = {name: t.data.copy() for name, t in params.items()}
+        if stop:
+            break
+
+    if validate is not None:
+        for name, tensor in params.items():
+            tensor.data = best_state[name]
+    return history
 
 
 def train(model: MtlModel, vocab: Vocabulary,
           train_examples: list[LabeledExample],
           val_examples: list[LabeledExample],
           config: TrainConfig) -> tuple[MtlModel, TrainHistory]:
-    """Adam epochs over shuffled mini-batches with early stopping on
-    sub-task A validation macro-F1.
-
-    Stops when F1(A) fails to strictly improve for `patience` consecutive
-    epochs; returns the parameters from the best epoch.
-    """
+    """Multi-task training with early stopping on sub-task A validation
+    macro-F1; returns the parameters from the best epoch."""
     if not train_examples or not val_examples:
         raise ValueError("train and validation corpora must be non-empty")
-    rng = np.random.default_rng(config.seed)
-    max_len = model.encoder_config.max_len
-    ids, mask = _encode_examples(train_examples, vocab, max_len)
+    ids, mask = _encode_examples(train_examples, vocab, model.encoder_config.max_len)
     targets, real = batch_targets(train_examples)
 
-    optimizer = Adam(model.params, config.learning_rate)
-    history = TrainHistory()
-    stopper = EarlyStopper(config.patience)
-    best_state = model.state_arrays()
+    def step_loss(batch, drop_rng):
+        logits = model.logits_mtl(ids[batch], mask[batch], drop_rng)
+        loss, _, _ = mtl_loss(logits, {t: targets[t][batch] for t in targets},
+                              config.loss_weights, real[batch])
+        return loss
 
-    for epoch in range(1, config.max_epochs + 1):
-        epoch_losses = []
-        for batch in _minibatches(len(train_examples), config.batch_size, rng):
-            drop_rng = rng if config.use_dropout else None
-            logits = model.logits_mtl(ids[batch], mask[batch], drop_rng)
-            batch_targets_ = {t: targets[t][batch] for t in targets}
-            loss, _, _ = mtl_loss(logits, batch_targets_, config.loss_weights,
-                                  real[batch])
-            if not np.isfinite(loss.data):
-                raise NonFiniteLossError(f"non-finite loss at epoch {epoch}")
-            model.zero_grad()
-            loss.backward()
-            optimizer.step()
-            epoch_losses.append(float(loss.data))
-
-        history.train_loss.append(float(np.mean(epoch_losses)))
-        scores = validation_f1(model, val_examples, vocab)
-        for task in ("a", "b", "c"):
-            history.val_f1[task].append(scores[task])
-
-        improved = scores["a"] > stopper.best
-        stop = stopper.update(scores["a"], epoch)
-        if improved:
-            history.best_epoch = epoch
-            best_state = model.state_arrays()
-        history.stopped_epoch = epoch
-        if stop:
-            break
-
-    model.load_state_arrays(best_state)
+    history = fit(model.params, len(train_examples), step_loss, config,
+                  np.random.default_rng(config.seed),
+                  lambda: validation_f1(model, val_examples, vocab))
     return model, history
 
 
@@ -213,61 +204,35 @@ def train_baseline(model: MtlModel, vocab: Vocabulary,
                    val_examples: list[LabeledExample],
                    config: TrainConfig) -> tuple[MtlModel, TrainHistory]:
     """Single-task reference: cross-entropy on the linear CLS head for task A
-    only, same optimizer and early-stopping protocol as the MTL loop."""
+    only, same optimizer and early-stopping protocol as the MTL loop. The
+    B and C validation F1 columns read 0."""
     if not train_examples or not val_examples:
         raise ValueError("train and validation corpora must be non-empty")
-    from .autodiff import cross_entropy
-    from .evaluation import macro_f1 as _macro_f1
-
-    rng = np.random.default_rng(config.seed)
     max_len = model.encoder_config.max_len
     ids, mask = _encode_examples(train_examples, vocab, max_len)
     targets, _ = batch_targets(train_examples)
     val_ids, val_mask = _encode_examples(val_examples, vocab, max_len)
     val_golds = [ex.labels.a.value for ex in val_examples]
 
-    optimizer = Adam(model.params, config.learning_rate)
-    history = TrainHistory()
-    stopper = EarlyStopper(config.patience)
-    best_state = model.state_arrays()
+    def step_loss(batch, drop_rng):
+        logits = model.logits_baseline(ids[batch], mask[batch], drop_rng)
+        return cross_entropy(logits, targets["a"][batch], np.ones(len(batch)))
 
-    for epoch in range(1, config.max_epochs + 1):
-        epoch_losses = []
-        for batch in _minibatches(len(train_examples), config.batch_size, rng):
-            drop_rng = rng if config.use_dropout else None
-            logits = model.logits_baseline(ids[batch], mask[batch], drop_rng)
-            loss = cross_entropy(logits, targets["a"][batch], np.ones(len(batch)))
-            if not np.isfinite(loss.data):
-                raise NonFiniteLossError(f"non-finite loss at epoch {epoch}")
-            model.zero_grad()
-            loss.backward()
-            optimizer.step()
-            epoch_losses.append(float(loss.data))
-
-        history.train_loss.append(float(np.mean(epoch_losses)))
+    def validate():
         probs = model.forward_baseline(val_ids, val_mask)
         preds = [TASK_CLASSES["a"][int(i)] for i in probs.argmax(axis=1)]
-        f1_a = _macro_f1(val_golds, preds, TASK_CLASSES["a"])
-        for task in ("a", "b", "c"):
-            history.val_f1[task].append(f1_a if task == "a" else 0.0)
+        return {"a": evaluation.macro_f1(val_golds, preds, TASK_CLASSES["a"]),
+                "b": 0.0, "c": 0.0}
 
-        improved = f1_a > stopper.best
-        stop = stopper.update(f1_a, epoch)
-        if improved:
-            history.best_epoch = epoch
-            best_state = model.state_arrays()
-        history.stopped_epoch = epoch
-        if stop:
-            break
-
-    model.load_state_arrays(best_state)
+    history = fit(model.params, len(train_examples), step_loss, config,
+                  np.random.default_rng(config.seed), validate)
     return model, history
 
 
 def pretrain_regression(model: MtlModel, vocab: Vocabulary,
-                        scored: list[ScoredExample], config: TrainConfig,
-                        epochs: int | None = None) -> tuple[MtlModel, list[float]]:
-    """Regression pre-training on confidence scores.
+                        scored: list[ScoredExample],
+                        config: TrainConfig) -> tuple[MtlModel, list[float]]:
+    """Regression pre-training on confidence scores for `max_epochs` epochs.
 
     A throwaway head (sigmoid of a linear map on the CLS embedding) is
     trained with mean squared error against avg_conf; the encoder keeps the
@@ -279,35 +244,20 @@ def pretrain_regression(model: MtlModel, vocab: Vocabulary,
     d = model.encoder_config.d_model
     head_w = Tensor(rng.uniform(-1, 1, (d, 1)) / np.sqrt(d), requires_grad=True)
     head_b = Tensor(np.zeros(1), requires_grad=True)
-
     ids, mask = _encode_examples(scored, vocab, model.encoder_config.max_len)
     targets = np.array([ex.avg_conf for ex in scored])
+
+    def step_loss(batch, drop_rng):
+        emb = model.encode(ids[batch], mask[batch], drop_rng)
+        pred = (emb[:, 0, :] @ head_w + head_b).sigmoid().reshape(-1)
+        err = pred - Tensor(targets[batch])
+        return (err ** 2.0).mean()
 
     trainable = dict(model.params)
     trainable["__regression.w"] = head_w
     trainable["__regression.b"] = head_b
-    optimizer = Adam(trainable, config.learning_rate)
-
-    n_epochs = epochs if epochs is not None else config.max_epochs
-    epoch_mse = []
-    for _ in range(n_epochs):
-        losses = []
-        for batch in _minibatches(len(scored), config.batch_size, rng):
-            drop_rng = rng if config.use_dropout else None
-            emb = model.encode(ids[batch], mask[batch], drop_rng)
-            pred = (emb[:, 0, :] @ head_w + head_b).sigmoid().reshape(-1)
-            err = pred - Tensor(targets[batch])
-            loss = (err ** 2.0).mean()
-            if not np.isfinite(loss.data):
-                raise NonFiniteLossError("non-finite regression loss")
-            model.zero_grad()
-            head_w.grad = None
-            head_b.grad = None
-            loss.backward()
-            optimizer.step()
-            losses.append(float(loss.data))
-        epoch_mse.append(float(np.mean(losses)))
-    return model, epoch_mse
+    history = fit(trainable, len(scored), step_loss, config, rng)
+    return model, history.train_loss
 
 
 def check_gradients(model: MtlModel, examples: list[LabeledExample],

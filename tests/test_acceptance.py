@@ -39,7 +39,6 @@ from offlang.textnorm import (
     NormalizedTweet,
     RawTweet,
     UnigramTable,
-    brute_force_segment,
     bundled_emoji_table,
     bundled_unigram_table,
     normalize,
@@ -53,11 +52,12 @@ from offlang.training import (
     check_gradients,
     pretrain_regression,
     train,
-    train_accuracy,
     train_baseline,
     _minibatches,
 )
 from offlang.mtl import mtl_loss
+
+from test_segmentation import brute_force_segment
 
 
 def report(number, name, ok, detail=""):
@@ -66,6 +66,20 @@ def report(number, name, ok, detail=""):
         line += f" ({detail})"
     print(line)
     assert ok, line
+
+
+def train_accuracy(model, ids, mask, targets):
+    """Per-task argmax accuracy over an encoded batch."""
+    preds = model.forward_mtl(ids, mask)
+    out = {}
+    for task in ("a", "b", "c"):
+        hit = sum(
+            1
+            for p, t in zip(preds, targets[task])
+            if np.argmax(p.probs(task)) == t
+        )
+        out[task] = hit / len(preds)
+    return out
 
 
 def small_encoder(vocab_size, **overrides):
@@ -370,7 +384,7 @@ def test_12_regression_pretraining_smoke():
     model = MtlModel(enc, HeadConfig(hidden=16), seed=12)
     config = TrainConfig(learning_rate=1e-3, batch_size=64, max_epochs=3,
                          seed=12, use_dropout=False)
-    _, epoch_mse = pretrain_regression(model, vocab, scored, config, epochs=3)
+    _, epoch_mse = pretrain_regression(model, vocab, scored, config)
     monotone = epoch_mse[0] > epoch_mse[1] > epoch_mse[2]
     report(12, "regression pre-training smoke", monotone,
            "epoch MSE " + " > ".join(f"{m:.5f}" for m in epoch_mse))

@@ -1,9 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+from offlang.checkpoint import FORMAT_VERSION
 from offlang.cli import dispatch
 from offlang.corpus import save_labeled
+from offlang.encoder import EncoderConfig
+from offlang.mtl import HeadConfig
 from offlang.synth import make_hierarchical_corpus, make_scored_corpus
 
 TINY_CONFIG = {
@@ -58,6 +62,40 @@ class TestDispatch:
         ])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+def checkpoint_meta(**overrides):
+    meta = {"version": FORMAT_VERSION, "encoder": EncoderConfig(vocab_size=8).to_dict(),
+            "head": HeadConfig().to_dict(), "loss_weights": [0.4, 0.3, 0.3],
+            "vocab": []}
+    meta.update(overrides)
+    return json.dumps(meta).encode("utf-8")
+
+
+BAD_CHECKPOINTS = {
+    "not_a_zip": None,
+    "no_meta": {},
+    "undecodable_meta": {"meta": b"\xff\xfe{"},
+    "unknown_encoder_key": {"meta": checkpoint_meta(
+        encoder={**EncoderConfig(vocab_size=8).to_dict(), "colour": "red"})},
+    "missing_head_key": {"meta": checkpoint_meta(head={})},
+    "missing_meta_keys": {"meta": json.dumps({"version": FORMAT_VERSION}).encode("utf-8")},
+}
+
+
+class TestBadCheckpoint:
+    @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+    def test_predict_names_invalid_file(self, tmp_path, capsys, case):
+        path = tmp_path / f"{case}.ckpt"
+        entries = BAD_CHECKPOINTS[case]
+        if entries is None:
+            path.write_text("id\ttweet\n", encoding="utf-8")
+        else:
+            with open(path, "wb") as handle:
+                np.savez(handle, x=np.zeros(1), **{
+                    k: np.frombuffer(v, dtype=np.uint8) for k, v in entries.items()})
+        assert dispatch(["predict", "--model", str(path), "--text", "hi"]) == 1
+        assert f"error: {path} is not a valid checkpoint" in capsys.readouterr().err
 
 
 class TestPreprocess:
@@ -148,7 +186,8 @@ class TestPretrainAndThreshold:
         assert ckpt.exists()
         assert (tmp_path / "warm.ckpt.metrics.txt").exists()
 
-    def test_threshold_search(self, tmp_path, capsys):
+    @staticmethod
+    def write_threshold_inputs(tmp_path, labeled_ids):
         scored_path = tmp_path / "scored.tsv"
         labels_path = tmp_path / "labels.tsv"
         rows = [("1", "aa", 0.8, "OFF"), ("2", "bb", 0.7, "OFF"),
@@ -160,11 +199,23 @@ class TestPretrainAndThreshold:
         with open(labels_path, "w") as f:
             f.write("id\ttweet\tsubtask_a\tsubtask_b\tsubtask_c\n")
             for i, t, _, a in rows:
-                b, c = ("UNT", "NULL") if a == "OFF" else ("NULL", "NULL")
-                f.write(f"{i}\t{t}\t{a}\t{b}\t{c}\n")
-        assert dispatch(["threshold-search", "--scored", str(scored_path),
-                         "--labels", str(labels_path), "--grid", "0.3,0.5,0.75"]) == 0
+                if i in labeled_ids:
+                    b, c = ("UNT", "NULL") if a == "OFF" else ("NULL", "NULL")
+                    f.write(f"{i}\t{t}\t{a}\t{b}\t{c}\n")
+        return str(scored_path), str(labels_path)
+
+    def test_threshold_search(self, tmp_path, capsys):
+        scored, labels = self.write_threshold_inputs(tmp_path, "1234")
+        assert dispatch(["threshold-search", "--scored", scored,
+                         "--labels", labels, "--grid", "0.3,0.5,0.75"]) == 0
         assert "best_threshold=0.3" in capsys.readouterr().out
+
+    def test_threshold_search_unlabeled_ids(self, tmp_path, capsys):
+        scored, labels = self.write_threshold_inputs(tmp_path, "13")
+        assert dispatch(["threshold-search", "--scored", scored,
+                         "--labels", labels]) == 1
+        err = capsys.readouterr().err
+        assert f"2 scored ids have no label in {labels}, e.g. '2'" in err
 
 
 class TestGradcheck:

@@ -12,13 +12,17 @@ from offlang.mtl import (
     batch_targets,
     mtl_loss,
     predict,
-    weighted_total,
 )
 from offlang.synth import make_hierarchical_corpus
 from offlang.textnorm import bundled_emoji_table, bundled_unigram_table
 from offlang.tokenizer import build_vocab, encode_batch
 from offlang.training import TrainConfig, train
 
+
+def weighted_total(l_a: float, l_b: float, l_c: float, weights: LossWeights) -> float:
+    """The overall loss as plain arithmetic on already-computed task losses."""
+    w = weights.as_tuple()
+    return w[0] * l_a + w[1] * l_b + w[2] * l_c
 
 def tiny_model(vocab_size, seed=0, max_len=12):
     cfg = EncoderConfig(d_model=16, n_layers=1, n_heads=2, d_ffn=32,

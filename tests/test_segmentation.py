@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from offlang.textnorm import UnigramTable, brute_force_segment, segment_hashtag
+from offlang.textnorm import UnigramTable, _better, segment_hashtag
 
 VOCAB_20 = {
     "this": 3228469771, "is": 4705743816, "a": 9081174698, "test": 187971480,
@@ -14,6 +14,27 @@ VOCAB_20 = {
     "in": 8469404971, "sat": 2500000, "hat": 2200000, "an": 1011346347,
     "it": 2813163874, "his": 402346494, "to": 12136980858, "he": 495914991,
 }
+
+
+def brute_force_segment(text: str, unigrams: UnigramTable) -> tuple[str, ...]:
+    """Enumerate all 2^(n-1) segmentations; oracle for the DP."""
+    n = len(text)
+    if n == 0:
+        return ()
+    best = None
+    for bits in range(1 << (n - 1)):
+        words = []
+        start = 0
+        for i in range(1, n):
+            if bits & (1 << (i - 1)):
+                words.append(text[start:i])
+                start = i
+        words.append(text[start:])
+        score = sum(unigrams.log_prob(w) for w in words)
+        cand = (score, len(words), tuple(words))
+        if _better(cand, best):
+            best = cand
+    return best[2]
 
 
 @pytest.fixture(scope="module")

@@ -73,6 +73,7 @@ class TestNormalize:
          "love this face with tears of joy face with tears of joy "
          "build the wall build the wall http http"),
         ("#A #HTTP #x1 no emoji @USER", "a http x1 no emoji @user"),
+        ("A\x00B \U0001F600 c", "a\x00b grinning face c"),
     ])
     def test_decorated_tweets(self, text, expected, emoji, unigrams):
         assert normalize(RawTweet(id="1", text=text), emoji, unigrams).text == expected
@@ -113,6 +114,13 @@ class TestEmojiToWords:
     def test_no_table_emoji_survive(self, emoji):
         out = emoji_to_words("a\U0001F602b❤c \U0001F525", emoji)
         assert not any(ch in emoji.entries for ch in out)
+
+    def test_emoji_class_matches_ranges_at_edges(self):
+        edges = {e + d for lo, hi in textnorm._EMOJI_RANGES for e in (lo, hi)
+                 for d in (-1, 0, 1)}
+        for cp in sorted(edges):
+            in_range = any(lo <= cp <= hi for lo, hi in textnorm._EMOJI_RANGES)
+            assert textnorm._is_emoji_char(chr(cp)) == in_range, hex(cp)
 
     def test_name_words_must_be_clean(self):
         with pytest.raises(ValueError):

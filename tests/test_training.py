@@ -13,6 +13,7 @@ from offlang.training import (
     check_gradients,
     pretrain_regression,
     train,
+    train_baseline,
 )
 from offlang.tokenizer import build_vocab, encode_batch
 
@@ -135,9 +136,9 @@ class TestPretrainRegression:
         scored = make_scored_corpus(40, seed=3)
         vocab = build_vocab([e.tweet.text for e in scored])
         model = tiny_model(len(vocab), seed=3)
-        config = TrainConfig(learning_rate=1e-3, batch_size=40, max_epochs=5,
+        config = TrainConfig(learning_rate=1e-3, batch_size=40, max_epochs=3,
                              seed=3, use_dropout=False)
-        _, epoch_mse = pretrain_regression(model, vocab, scored, config, epochs=3)
+        _, epoch_mse = pretrain_regression(model, vocab, scored, config)
         # full-batch epochs: each epoch is one small-lr step
         assert epoch_mse[0] > epoch_mse[1] > epoch_mse[2]
 
@@ -147,7 +148,7 @@ class TestPretrainRegression:
         model = tiny_model(len(vocab), seed=4)
         names_before = set(model.params)
         config = TrainConfig(learning_rate=1e-3, batch_size=10, max_epochs=1, seed=4)
-        model, _ = pretrain_regression(model, vocab, scored, config, epochs=1)
+        model, _ = pretrain_regression(model, vocab, scored, config)
         assert set(model.params) == names_before
 
     def test_encoder_actually_updates(self):
@@ -155,8 +156,8 @@ class TestPretrainRegression:
         vocab = build_vocab([e.tweet.text for e in scored])
         model = tiny_model(len(vocab), seed=5)
         before = model.state_arrays()
-        config = TrainConfig(learning_rate=1e-3, batch_size=10, max_epochs=1, seed=5)
-        model, _ = pretrain_regression(model, vocab, scored, config, epochs=2)
+        config = TrainConfig(learning_rate=1e-3, batch_size=10, max_epochs=2, seed=5)
+        model, _ = pretrain_regression(model, vocab, scored, config)
         changed = any(
             not np.array_equal(before[n], model.params[n].data)
             for n in before if n.startswith(("tok_emb", "layer0."))
@@ -167,6 +168,19 @@ class TestPretrainRegression:
         _, vocab = small_setup(n=4)
         with pytest.raises(ValueError):
             pretrain_regression(tiny_model(len(vocab)), vocab, [], TrainConfig())
+
+
+@pytest.mark.parametrize("entry", [train, train_baseline, pretrain_regression],
+                         ids=lambda f: f.__name__)
+def test_nan_parameter_raises_non_finite_loss(entry):
+    examples = make_hierarchical_corpus(12, seed=6)
+    scored = make_scored_corpus(12, seed=6)
+    vocab = build_vocab([e.tweet.text for e in examples + scored])
+    model = tiny_model(len(vocab), seed=6)
+    model.params["tok_emb"].data[:] = np.nan
+    corpora = (scored,) if entry is pretrain_regression else (examples[:8], examples[8:])
+    with pytest.raises(NonFiniteLossError):
+        entry(model, vocab, *corpora, TrainConfig(batch_size=4, max_epochs=1))
 
 
 class TestCheckGradients:
