@@ -3,14 +3,35 @@
 Everything runs in float64 so that analytic gradients can be compared
 against central finite differences at tight tolerances. The op set is
 exactly what the encoder, the recurrent heads, and the losses need;
-no attempt is made to be a general framework. Each recurrent head is one
-fused `lstm` node whose backward is hand-written BPTT; like every other
-op, it is checked against finite differences.
+no attempt is made to be a general framework. The recurrent heads run as
+one fused `lstm` node, a single recurrence over all heads whose backward
+is hand-written BPTT; like every other op, it is checked against finite
+differences. Inside `no_grad()` ops build no graph, which is how inference
+runs.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 import numpy as np
+
+# per thread and per asyncio task, so inference in one cannot silently drop
+# the graph that training builds in another
+_grad_enabled = ContextVar("grad_enabled", default=True)
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside the block: op results get no parents and no
+    backward closure, so forward buffers are freed as soon as they are
+    unused. Forward values are unchanged."""
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
 
 
 class Tensor:
@@ -37,7 +58,7 @@ class Tensor:
     @staticmethod
     def _result(data, parents, backward):
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _grad_enabled.get() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -294,80 +315,95 @@ def rows(table: Tensor, ids: np.ndarray) -> Tensor:
     return Tensor._result(out_data, (table,), backward)
 
 
-def lstm(x: Tensor, mask: np.ndarray, wx: Tensor, bx: Tensor, wh: Tensor,
-         bh: Tensor) -> Tensor:
-    """Final hidden state (B, h) of a masked one-direction LSTM, as one node.
+def lstm(x: Tensor, mask: np.ndarray, heads: list) -> Tensor:
+    """Final hidden states (K, B, h) of K masked one-direction LSTMs that read
+    the same input, as one node.
 
-    x: (B, T, d); mask: (B, T), 1 = real token; wx: (d, 4h); wh: (h, 4h).
-    Gate blocks are ordered input, forget, cell, output. The recurrence
-    stops at the first all-PAD column, and a row's padded steps carry its
-    state forward, so each row ends at the state of its last real token.
-    The backward is hand-written BPTT over the same masked carry.
+    x: (B, T, d); mask: (B, T), 1 = real token; heads: K sequences
+    (wx, bx, wh, bh) with wx: (d, 4h) and wh: (h, 4h). Gate blocks are
+    ordered input, forget, cell, output. One time loop steps every head at
+    once. The recurrence stops at the first all-PAD column, and a row's
+    padded steps carry its state forward, so each row ends at the state of
+    its last real token. The backward is hand-written BPTT over the same
+    masked carry.
     """
+    K = len(heads)
     B, T, d = x.shape
-    h = wh.shape[0]
+    h = heads[0][2].shape[0]
     mask = np.asarray(mask, dtype=np.float64)
     pad_columns = np.flatnonzero(~mask.any(axis=0))
     steps = int(pad_columns[0]) if pad_columns.size else T
     m_all = mask[:, :steps, None]
     keep_all = 1.0 - m_all                        # padded steps keep the old state
     x_used = x.data[:, :steps]
-    xg = x_used @ wx.data + bx.data               # (B, steps, 4h)
+    wh_all = np.stack([wh.data for _, _, wh, _ in heads])       # (K, h, 4h)
+    bh_all = np.stack([bh.data for _, _, _, bh in heads])[:, None]    # (K, 1, 4h)
 
-    hs = np.zeros((B, steps + 1, h))              # hs[:, t]: state before step t
-    cs = np.zeros((B, steps + 1, h))
-    acts = np.empty((B, steps, 4, h))             # sigmoid i, f, o; tanh g
-    tcs = np.empty((B, steps, h))                 # tanh of the unmasked new cell
-    i_g, f_g, g_g, o_g = (acts[:, :, k] for k in range(4))
+    hs = np.zeros((K, B, steps + 1, h))           # hs[:, :, t]: state before step t
+    cs = np.zeros((K, B, steps + 1, h))
+    acts = np.empty((K, B, steps, 4, h))          # sigmoid i, f, o; tanh g
+    tcs = np.empty((K, B, steps, h))              # tanh of the unmasked new cell
+    # each head's input projection goes straight into the activation buffer;
+    # step t reads its slot before overwriting it with the activations
+    xg = acts.reshape(K, B, steps, 4 * h)
+    for k, (wx, bx, _, _) in enumerate(heads):
+        np.matmul(x_used, wx.data, out=xg[k])
+        xg[k] += bx.data
+    i_g, f_g, g_g, o_g = (acts[:, :, :, k] for k in range(4))
     for t in range(steps):
-        h_t, c_t, m, keep = hs[:, t], cs[:, t], m_all[:, t], keep_all[:, t]
-        gates = xg[:, t] + h_t @ wh.data + bh.data
-        acts[:, t] = _sigmoid(gates).reshape(B, 4, h)
-        g_g[:, t] = np.tanh(gates[:, 2 * h:3 * h])
-        c_new = f_g[:, t] * c_t + i_g[:, t] * g_g[:, t]
-        tcs[:, t] = np.tanh(c_new)
-        h_new = o_g[:, t] * tcs[:, t]
-        cs[:, t + 1] = m * c_new + keep * c_t
-        hs[:, t + 1] = m * h_new + keep * h_t
+        h_t, c_t, m, keep = hs[:, :, t], cs[:, :, t], m_all[:, t], keep_all[:, t]
+        gates = xg[:, :, t] + h_t @ wh_all + bh_all
+        acts[:, :, t] = _sigmoid(gates).reshape(K, B, 4, h)
+        g_g[:, :, t] = np.tanh(gates[:, :, 2 * h:3 * h])
+        c_new = f_g[:, :, t] * c_t + i_g[:, :, t] * g_g[:, :, t]
+        tcs[:, :, t] = np.tanh(c_new)
+        h_new = o_g[:, :, t] * tcs[:, :, t]
+        cs[:, :, t + 1] = m * c_new + keep * c_t
+        hs[:, :, t + 1] = m * h_new + keep * h_t
 
     def backward(g):
         # d gate pre-activation / d c_new for i, f, g and / d h_new for o,
-        # for every step at once
+        # for every step at once; step t then scales its own slot into
+        # d gate pre-activation, so the buffer ends as the gate gradient
         local = np.empty_like(acts)
-        local[:, :, 0] = g_g * i_g * (1.0 - i_g)
-        local[:, :, 1] = cs[:, :steps] * f_g * (1.0 - f_g)
-        local[:, :, 2] = i_g * (1.0 - g_g * g_g)
-        local[:, :, 3] = tcs * o_g * (1.0 - o_g)
+        local[:, :, :, 0] = g_g * i_g * (1.0 - i_g)
+        local[:, :, :, 1] = cs[:, :, :steps] * f_g * (1.0 - f_g)
+        local[:, :, :, 2] = i_g * (1.0 - g_g * g_g)
+        local[:, :, :, 3] = tcs * o_g * (1.0 - o_g)
         dc_dh = o_g * (1.0 - tcs * tcs)           # d c_new / d h_new
-        wh_t = wh.data.T
+        wh_t = wh_all.transpose(0, 2, 1)
+        dxg = local.reshape(K, B, steps, 4 * h)
 
-        dxg = np.empty_like(acts)
         dh = g
-        dc = np.zeros((B, h))
+        dc = np.zeros((K, B, h))
         for t in reversed(range(steps)):
             m, keep = m_all[:, t], keep_all[:, t]
             dh_new = m * dh
-            dc_new = m * dc + dh_new * dc_dh[:, t]
-            dxg[:, t, :3] = dc_new[:, None] * local[:, t, :3]
-            dxg[:, t, 3] = dh_new * local[:, t, 3]
-            dc = keep * dc + dc_new * f_g[:, t]
-            dh = keep * dh + dxg[:, t].reshape(B, 4 * h) @ wh_t
+            dc_new = m * dc + dh_new * dc_dh[:, :, t]
+            local[:, :, t, :3] *= dc_new[:, :, None]
+            local[:, :, t, 3] *= dh_new
+            dc = keep * dc + dc_new * f_g[:, :, t]
+            dh = keep * dh + dxg[:, :, t] @ wh_t
 
-        flat = dxg.reshape(B * steps, 4 * h)
+        flat = dxg.reshape(K, B * steps, 4 * h)
         if x.requires_grad:
             dx = np.zeros_like(x.data)
-            dx[:, :steps] = (flat @ wx.data.T).reshape(B, steps, d)
+            for k, (wx, _, _, _) in enumerate(heads):
+                dx[:, :steps] += (flat[k] @ wx.data.T).reshape(B, steps, d)
             x._accumulate(dx)
-        if wx.requires_grad:
-            wx._accumulate(x_used.reshape(B * steps, d).T @ flat)
-        if wh.requires_grad:
-            wh._accumulate(hs[:, :steps].reshape(B * steps, h).T @ flat)
-        db = flat.sum(axis=0)
-        for bias in (bx, bh):
-            if bias.requires_grad:
-                bias._accumulate(db)
+        x_flat = x_used.reshape(B * steps, d)
+        for k, (wx, bx, wh, bh) in enumerate(heads):
+            if wx.requires_grad:
+                wx._accumulate(x_flat.T @ flat[k])
+            if wh.requires_grad:
+                wh._accumulate(hs[k, :, :steps].reshape(B * steps, h).T @ flat[k])
+            db = flat[k].sum(axis=0)
+            for bias in (bx, bh):
+                if bias.requires_grad:
+                    bias._accumulate(db)
 
-    return Tensor._result(hs[:, steps].copy(), (x, wx, bx, wh, bh), backward)
+    parents = (x,) + tuple(p for head in heads for p in head)
+    return Tensor._result(hs[:, :, steps].copy(), parents, backward)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:

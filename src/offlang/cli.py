@@ -105,18 +105,23 @@ def cmd_train(args) -> int:
     context = _norm_context(args)
     train_examples = corpus.load_labeled(args.train, context)
     val_examples = corpus.load_labeled(args.val, context)
-    vocab = tokenizer.build_vocab(
-        [ex.tweet.text for ex in train_examples],
-        min_freq=config["vocab"]["min_freq"],
-        max_size=config["vocab"]["max_size"],
-    )
     train_cfg = _train_config(config)
     print("train: " + json.dumps(train_cfg.to_dict(), sort_keys=True))
-    model = _build_model(config, len(vocab), train_cfg.seed)
     if args.init_from:
-        warm, warm_vocab, _ = checkpoint.load_checkpoint(args.init_from)
-        vocab = warm_vocab
-        model = warm
+        model, vocab, _ = checkpoint.load_checkpoint(args.init_from)
+        # echo the architecture that is trained, not the config's
+        encoder = model.encoder_config.to_dict()
+        del encoder["vocab_size"]        # set by the vocabulary, as in DEFAULT_CONFIG
+        config["encoder"] = encoder
+        config["head"] = model.head_config.to_dict()
+        print(f"vocabulary and architecture from {args.init_from}")
+    else:
+        vocab = tokenizer.build_vocab(
+            [ex.tweet.text for ex in train_examples],
+            min_freq=config["vocab"]["min_freq"],
+            max_size=config["vocab"]["max_size"],
+        )
+        model = _build_model(config, len(vocab), train_cfg.seed)
     model, history = training.train(model, vocab, train_examples, val_examples,
                                     train_cfg)
     checkpoint.save_checkpoint(args.out, model, vocab, train_cfg.loss_weights)

@@ -1,10 +1,12 @@
 """Multi-task model: shared encoder, three LSTM task heads, weighted loss,
 plus the single-task linear baseline.
 
-Each head runs a unidirectional LSTM (one fused `autodiff.lstm` node) over
-the unmasked embedding sequence and projects its final hidden state to
-class logits. The baseline projects the CLS embedding directly. NULL is an
-ordinary class for heads B and C.
+Each head runs a unidirectional LSTM over the unmasked embedding sequence
+and projects its final hidden state to class logits. The three heads run
+as one fused recurrence, a single `autodiff.lstm` node. The baseline
+projects the CLS embedding directly. NULL is an ordinary class for heads B
+and C. Inference (`forward_mtl`, `forward_baseline`) builds no autodiff
+graph.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .autodiff import Tensor, cross_entropy, lstm
+from .autodiff import Tensor, cross_entropy, lstm, no_grad
 from .corpus import LabeledExample, TaskLabelA, TaskLabelB, TaskLabelC
 from .encoder import EncoderConfig, encode as encoder_forward, init_encoder
 from .tokenizer import Vocabulary, encode_batch
@@ -115,12 +117,14 @@ class MtlModel:
             raise ValueError("empty batch")
         emb = self.encode(ids, mask, rng)
         p = self.params
-        out = {}
-        for task in TASKS:
-            lstm_params = (p[f"head_{task}.lstm.{k}"] for k in ("x.w", "x.b", "h.w", "h.b"))
-            h_final = lstm(emb, mask, *lstm_params)
-            out[task] = h_final @ p[f"head_{task}.out.w"] + p[f"head_{task}.out.b"]
-        return out
+        h_all = lstm(emb, mask, [
+            [p[f"head_{task}.lstm.{k}"] for k in ("x.w", "x.b", "h.w", "h.b")]
+            for task in TASKS
+        ])
+        return {
+            task: h_all[k] @ p[f"head_{task}.out.w"] + p[f"head_{task}.out.b"]
+            for k, task in enumerate(TASKS)
+        }
 
     def logits_baseline(self, ids, mask, rng=None) -> Tensor:
         if len(np.asarray(ids)) == 0:
@@ -130,15 +134,17 @@ class MtlModel:
         return cls @ self.params["baseline.out.w"] + self.params["baseline.out.b"]
 
     def forward_mtl(self, ids, mask) -> list[PredictionTriple]:
-        logits = self.logits_mtl(ids, mask)
-        probs = {task: logits[task].softmax().data for task in TASKS}
+        with no_grad():
+            logits = self.logits_mtl(ids, mask)
+            probs = {task: logits[task].softmax().data for task in TASKS}
         return [
             PredictionTriple(probs["a"][i], probs["b"][i], probs["c"][i])
             for i in range(len(probs["a"]))
         ]
 
     def forward_baseline(self, ids, mask) -> np.ndarray:
-        return self.logits_baseline(ids, mask).softmax().data
+        with no_grad():
+            return self.logits_baseline(ids, mask).softmax().data
 
     # -- parameter plumbing ----------------------------------------------------
 

@@ -64,7 +64,9 @@ class NormalizedTweet:
 class EmojiTable:
     """Emoji codepoint sequence -> space-separated lowercase name words."""
     entries: dict[str, str]
-    max_key_len: int = field(init=False)
+    # a table key, longest first so the longest key wins at a position, else
+    # one emoji-class character
+    pattern: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for key, name in self.entries.items():
@@ -72,9 +74,14 @@ class EmojiTable:
                 raise ValueError(f"emoji name {name!r} not clean lowercase words")
             if not key:
                 raise ValueError("empty emoji key")
-        object.__setattr__(
-            self, "max_key_len", max((len(k) for k in self.entries), default=1)
-        )
+        # the class already finds one-character keys inside it, and a branch
+        # per such key would be a linear scan per character: re keeps
+        # characters beyond U+FFFF out of its bitmap
+        keys = sorted((k for k in self.entries if len(k) > 1 or not _is_emoji_char(k)),
+                      key=len, reverse=True)
+        object.__setattr__(self, "pattern", re.compile(
+            "|".join([re.escape(k) for k in keys] + [_EMOJI_CHAR.pattern])
+        ))
 
     @classmethod
     def load(cls, path) -> "EmojiTable":
@@ -145,26 +152,13 @@ def emoji_to_words(text: str, table: EmojiTable) -> str:
     pieces: list[str] = []
     run_start = 0
     unknown = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        match = None
-        for length in range(min(table.max_key_len, n - i), 0, -1):
-            candidate = text[i:i + length]
-            if candidate in table.entries:
-                match = candidate
-                break
-        if match is not None:
-            pieces += [text[run_start:i], table.entries[match]]
-            i += len(match)
-        elif _is_emoji_char(text[i]):
-            pieces += [text[run_start:i], ""]
+    for match in table.pattern.finditer(text):
+        name = table.entries.get(match.group())
+        if name is None:
+            name = ""
             unknown += 1
-            i += 1
-        else:
-            i += 1
-            continue
-        run_start = i
+        pieces += [text[run_start:match.start()], name]
+        run_start = match.end()
     if not pieces:
         return text
     if unknown:

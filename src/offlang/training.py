@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import evaluation
-from .autodiff import Tensor, cross_entropy
+from .autodiff import Tensor, cross_entropy, no_grad
 from .corpus import LabeledExample, ScoredExample
 from .mtl import TASK_CLASSES, LossWeights, MtlModel, batch_targets, mtl_loss
 from .tokenizer import Vocabulary, encode_batch
@@ -269,8 +269,9 @@ def check_gradients(model: MtlModel, examples: list[LabeledExample],
     targets, real = batch_targets(examples)
 
     def loss_value() -> float:
-        logits = model.logits_mtl(ids, mask, rng=None)
-        loss, _, _ = mtl_loss(logits, targets, weights, real)
+        with no_grad():
+            logits = model.logits_mtl(ids, mask, rng=None)
+            loss, _, _ = mtl_loss(logits, targets, weights, real)
         return float(loss.data)
 
     logits = model.logits_mtl(ids, mask, rng=None)

@@ -1,9 +1,12 @@
 """Finite-difference checks for every op in the autodiff core."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from offlang.autodiff import Tensor, _sigmoid, cross_entropy, dropout, lstm, rows
+from offlang import autodiff
+from offlang.autodiff import Tensor, _sigmoid, cross_entropy, dropout, lstm, no_grad, rows
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -215,6 +218,11 @@ def random_inputs(seed, batch=len(MASK)):
             rng.normal(size=4 * H) * 0.5]
 
 
+def lstm_one(x, mask, wx, bx, wh, bh):
+    """`lstm` with a single head, shaped like `reference_lstm`."""
+    return lstm(x, mask, [(wx, bx, wh, bh)])[0]
+
+
 def grads_of(op, arrays, mask, weights):
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     out = op(tensors[0], mask, *tensors[1:])
@@ -222,12 +230,34 @@ def grads_of(op, arrays, mask, weights):
     return out.data, [t.grad for t in tensors]
 
 
+def multi_inputs(seed, k=3):
+    """x plus k distinct (wx, bx, wh, bh) sets, flat."""
+    heads = [random_inputs(seed + 10 * i)[1:] for i in range(k)]
+    return [random_inputs(seed)[0]] + [a for head in heads for a in head]
+
+
+def multi_grads(arrays, mask, weights, reference):
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    x, ws = tensors[0], tensors[1:]
+    if reference:
+        outs = [reference_lstm(x, mask, *ws[i:i + 4]) for i in range(0, len(ws), 4)]
+        loss = sum(((o * Tensor(w)).sum() for o, w in zip(outs, weights)), Tensor(0.0))
+        out = np.stack([o.data for o in outs])
+    else:
+        heads = [ws[i:i + 4] for i in range(0, len(ws), 4)]
+        h_all = lstm(x, mask, heads)
+        loss = (h_all * Tensor(weights)).sum()
+        out = h_all.data
+    loss.backward()
+    return out, [t.grad for t in tensors]
+
+
 class TestLstm:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fused_matches_per_step_reference(self, seed):
         arrays = random_inputs(seed)
         weights = np.random.default_rng(seed + 100).normal(size=(len(MASK), H))
-        out, grads = grads_of(lstm, arrays, MASK, weights)
+        out, grads = grads_of(lstm_one, arrays, MASK, weights)
         ref_out, ref_grads = grads_of(reference_lstm, arrays, MASK, weights)
         assert np.array_equal(out, ref_out)
         for name, g, ref in zip(("x", "wx", "bx", "wh", "bh"), grads, ref_grads):
@@ -242,7 +272,7 @@ class TestLstm:
         arrays = random_inputs(3, batch=1)
         mask = np.array([[1, 1, 1, 0, 0, 0, 0]])
         weights = np.ones((1, H))
-        out, grads = grads_of(lstm, arrays, mask, weights)
+        out, grads = grads_of(lstm_one, arrays, mask, weights)
         ref_out, ref_grads = grads_of(reference_lstm, arrays, mask, weights)
         assert np.abs(out - ref_out).max() <= 1e-15
         for g, ref in zip(grads, ref_grads):
@@ -252,11 +282,86 @@ class TestLstm:
         arrays = random_inputs(4)
         weights = np.random.default_rng(5).normal(size=(len(MASK), H))
         check(lambda x, wx, bx, wh, bh:
-              (lstm(x, MASK, wx, bx, wh, bh) * Tensor(weights)).sum(), *arrays)
+              (lstm_one(x, MASK, wx, bx, wh, bh) * Tensor(weights)).sum(), *arrays)
 
     def test_all_pad_first_column_gives_zero_state(self):
         tensors = [Tensor(a, requires_grad=True) for a in random_inputs(6)]
-        out = lstm(tensors[0], np.zeros((len(MASK), T)), *tensors[1:])
+        out = lstm_one(tensors[0], np.zeros((len(MASK), T)), *tensors[1:])
         assert out.shape == (len(MASK), H) and not out.data.any()
         out.sum().backward()
         assert all(not t.grad.any() for t in tensors)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_three_heads_match_three_references(self, seed):
+        arrays = multi_inputs(seed)
+        weights = np.random.default_rng(seed + 200).normal(size=(3, len(MASK), H))
+        out, grads = multi_grads(arrays, MASK, weights, reference=False)
+        ref_out, ref_grads = multi_grads(arrays, MASK, weights, reference=True)
+        assert out.shape == (3, len(MASK), H)
+        assert np.array_equal(out, ref_out)
+        assert len(grads) == 13
+        for i, (g, ref) in enumerate(zip(grads, ref_grads)):
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), i
+        assert not grads[0][:, -1].any()
+
+    def test_three_heads_finite_differences(self):
+        arrays = multi_inputs(7)
+        weights = np.random.default_rng(8).normal(size=(3, len(MASK), H))
+        check(lambda x, *ws: (lstm(x, MASK, [ws[0:4], ws[4:8], ws[8:12]])
+                              * Tensor(weights)).sum(), *arrays)
+
+    def test_three_heads_all_pad_first_column_gives_zero_state(self):
+        tensors = [Tensor(a, requires_grad=True) for a in multi_inputs(9)]
+        ws = tensors[1:]
+        out = lstm(tensors[0], np.zeros((len(MASK), T)), [ws[0:4], ws[4:8], ws[8:12]])
+        assert out.shape == (3, len(MASK), H) and not out.data.any()
+        out.sum().backward()
+        assert all(not t.grad.any() for t in tensors)
+
+
+class TestNoGrad:
+    def test_ops_build_no_graph_inside(self):
+        x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        with no_grad():
+            y = (x @ x.transpose(1, 0)).tanh().sum()
+            h = lstm(Tensor(RNG.normal(size=(2, T, D)), requires_grad=True), MASK[:2],
+                     [[Tensor(a, requires_grad=True) for a in random_inputs(0)[1:]]])
+        for out in (y, h):
+            assert out._backward is None and out._parents == () and not out.requires_grad
+        assert (x @ x.transpose(1, 0))._backward is not None       # enabled again on exit
+
+    def test_values_unchanged(self):
+        x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        with no_grad():
+            quiet = (x @ x.transpose(1, 0)).softmax().data
+        assert np.array_equal(quiet, (x @ x.transpose(1, 0)).softmax().data)
+
+    def test_state_restored_after_exception(self):
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                with no_grad():
+                    pass
+                assert not autodiff._grad_enabled.get()     # the inner block restores "off"
+                raise RuntimeError("boom")
+        assert autodiff._grad_enabled.get()
+        x = Tensor(np.ones(2), requires_grad=True)
+        assert (x * 2.0)._backward is not None
+
+    def test_other_threads_keep_building_graphs(self):
+        inside, done = threading.Event(), threading.Event()
+
+        def infer():
+            with no_grad():
+                inside.set()
+                done.wait(timeout=10)
+
+        worker = threading.Thread(target=infer)
+        worker.start()
+        try:
+            assert inside.wait(timeout=10)
+            x = Tensor(np.ones(2), requires_grad=True)
+            assert (x * 2.0)._backward is not None
+        finally:
+            done.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()

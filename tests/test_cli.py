@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from offlang.checkpoint import FORMAT_VERSION
+from offlang.checkpoint import FORMAT_VERSION, load_checkpoint
 from offlang.cli import dispatch
 from offlang.corpus import save_labeled
 from offlang.encoder import EncoderConfig
@@ -160,6 +160,29 @@ class TestTrainEvaluate:
         header = capsys.readouterr().out
         assert '"learning_rate": 3e-06' in header
         assert '"batch_size": 32' in header
+
+    def test_init_from_echoes_the_checkpoint_architecture(self, tmp_path, capsys):
+        warm = tmp_path / "warm.ckpt"
+        assert dispatch(["pretrain", "--config", write_config(tmp_path), "--scored",
+                         write_scored(tmp_path, "scored.tsv", 24, seed=3),
+                         "--out", str(warm)]) == 0
+        config = write_config(tmp_path, encoder={"d_model": 32, "d_ffn": 64},
+                              head={"hidden": 8})
+        ckpt = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        assert dispatch(["train", "--config", config, "--init-from", str(warm),
+                         "--train", write_labeled(tmp_path, "train.tsv", 16, seed=1),
+                         "--val", write_labeled(tmp_path, "val.tsv", 8, seed=2),
+                         "--out", str(ckpt)]) == 0
+        assert f"vocabulary and architecture from {warm}" in capsys.readouterr().out
+        model, vocab, _ = load_checkpoint(ckpt)
+        _, warm_vocab, _ = load_checkpoint(warm)
+        echoed = json.loads((tmp_path / "m.ckpt.config.json").read_text())
+        assert echoed["encoder"]["d_model"] == model.encoder_config.d_model == 16
+        assert echoed["encoder"] == {k: v for k, v in model.encoder_config.to_dict().items()
+                                     if k != "vocab_size"}
+        assert echoed["head"] == model.head_config.to_dict() == {"hidden": 16}
+        assert vocab.token_to_id == warm_vocab.token_to_id
 
     def test_predict(self, tmp_path, capsys):
         config = write_config(tmp_path)

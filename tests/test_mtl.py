@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from offlang.autodiff import Tensor
+from offlang.autodiff import Tensor, no_grad
 from offlang.checkpoint import load_checkpoint, save_checkpoint
 from offlang.corpus import NormContext
 from offlang.encoder import EncoderConfig
@@ -64,6 +64,17 @@ class TestForward:
         a, b = model.forward_mtl(dup_ids, dup_mask)
         assert np.array_equal(a.probs_a, b.probs_a)
         assert np.array_equal(a.probs_c, b.probs_c)
+
+    def test_forward_builds_no_graph_and_matches_graph_forward(self, batch):
+        model, _, _, ids, mask = batch
+        preds = model.forward_mtl(ids, mask)
+        logits = model.logits_mtl(ids, mask)      # builds the backward graph
+        assert logits["a"]._backward is not None
+        for task in ("a", "b", "c"):
+            probs = logits[task].softmax().data
+            assert np.array_equal(np.stack([p.probs(task) for p in preds]), probs)
+        with no_grad():
+            assert model.logits_mtl(ids, mask)["a"]._backward is None
 
     def test_empty_batch(self, batch):
         model = batch[0]

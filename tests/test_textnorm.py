@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from offlang import textnorm
@@ -91,7 +94,72 @@ class TestNormalize:
         assert calls == ["MAGA", "JokeOfTheDay"]
 
 
+def reference_emoji_to_words(text: str, table: EmojiTable) -> str:
+    """Character walk that `emoji_to_words` replaced: at each position probe
+    the table longest key first, then the emoji class."""
+    max_key_len = max((len(k) for k in table.entries), default=1)
+    pieces: list[str] = []
+    run_start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        match = None
+        for length in range(min(max_key_len, n - i), 0, -1):
+            candidate = text[i:i + length]
+            if candidate in table.entries:
+                match = candidate
+                break
+        if match is not None:
+            pieces += [text[run_start:i], table.entries[match]]
+            i += len(match)
+        elif textnorm._is_emoji_char(text[i]):
+            pieces += [text[run_start:i], ""]
+            i += 1
+        else:
+            i += 1
+            continue
+        run_start = i
+    if not pieces:
+        return text
+    pieces.append(text[run_start:])
+    last = len(pieces) - 1
+    for k in range(0, last + 1, 2):
+        if k > 0:
+            pieces[k] = pieces[k].lstrip()
+        if k < last:
+            pieces[k] = pieces[k].rstrip()
+    return re.sub(r" {2,}", " ", " ".join(pieces)).strip()
+
+
+# table emoji, unknown emoji, ZWJ, VS16, control and odd space characters
+ODD_CHARS = ["\U0001F44D", "\U0001F602", "\u2764", "\U0001F525", "\U0001F9FF",
+             "\U0001FAFF", "\u2B50", "\u200D", "\uFE0F", "\x00", "\t", "\n",
+             "\x1c", "\xa0", "\u3000", "\xa9", " ", " ", "a", "b", "x", "#", "@"]
+# 1-, 2- and 3-character keys, some sharing prefixes, one starting with plain
+# text, two single characters outside the emoji class (one beyond U+FFFF)
+MULTI_KEY_TABLE = EmojiTable({
+    "\xa9": "copyright", "\U0001FB00": "block sextant",
+    "\U0001F44D": "thumbs up", "\U0001F44D\uFE0F": "thumbs up styled",
+    "\u2764\uFE0F": "red heart", "\u2764\u200D\U0001F525": "heart on fire",
+    "x\u200D": "joined x", "\U0001F602": "joy",
+})
+
+
 class TestEmojiToWords:
+    @pytest.mark.parametrize("table_name", ["bundled", "multi_key"])
+    def test_matches_character_walk(self, table_name, emoji):
+        table = emoji if table_name == "bundled" else MULTI_KEY_TABLE
+        alphabet = ODD_CHARS + sorted(table.entries)
+        rng = random.Random(0)
+        for _ in range(3000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(13)))
+            assert emoji_to_words(text, table) == reference_emoji_to_words(text, table), \
+                ascii(text)
+
+    def test_longest_key_wins(self):
+        assert emoji_to_words("\u2764\u200D\U0001F525!", MULTI_KEY_TABLE) == "heart on fire !"
+        assert emoji_to_words("\U0001F44D\uFE0F\uFE0F", MULTI_KEY_TABLE) == "thumbs up styled"
+
     def test_thumbs_up(self, emoji):
         assert emoji_to_words("\U0001F44D", emoji) == "thumbs up"
 
