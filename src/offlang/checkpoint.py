@@ -3,6 +3,8 @@
 A single .npz holding named parameter arrays plus a JSON metadata blob with
 the encoder config, head config, loss weights, and the vocabulary. Save/load
 round-trips bit-exactly (arrays are float64 end to end).
+Version 2 holds exactly the model's parameters; version 1 files, which also
+carry a head the model no longer has, still load without it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .encoder import EncoderConfig
 from .mtl import HeadConfig, LossWeights, MtlModel
 from .tokenizer import Vocabulary
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_checkpoint(path, model: MtlModel, vocab: Vocabulary,
@@ -66,8 +68,11 @@ def load_checkpoint(path) -> tuple[MtlModel, Vocabulary, LossWeights]:
                 for key in data.files
                 if key.startswith("param/")
             }
-        if meta["version"] != FORMAT_VERSION:
+        if meta["version"] not in (1, FORMAT_VERSION):
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
+        if meta["version"] == 1:
+            arrays.pop("baseline.out.w", None)
+            arrays.pop("baseline.out.b", None)
         model = MtlModel(_config(EncoderConfig, meta["encoder"]),
                          _config(HeadConfig, meta["head"]), seed=0)
         model.load_state_arrays(arrays)

@@ -35,7 +35,6 @@ DEFAULT_CONFIG = {
         "use_dropout": True,
     },
     "vocab": {"min_freq": 1, "max_size": None},
-    "ensemble_size": 5,
 }
 
 

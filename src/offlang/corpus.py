@@ -8,7 +8,7 @@ B is NULL exactly when A is NOT, and C is NULL exactly when B is UNT or NULL.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,10 +94,9 @@ class NormContext:
     """Bundled normalization tables, threaded through the loaders."""
     emoji: EmojiTable
     unigrams: UnigramTable
-    substitutions: dict[str, str] = field(default_factory=lambda: {"url": "http"})
 
     def normalize(self, tweet: RawTweet) -> NormalizedTweet:
-        return normalize(tweet, self.emoji, self.unigrams, self.substitutions)
+        return normalize(tweet, self.emoji, self.unigrams)
 
 
 LABELED_HEADER = ["id", "tweet", "subtask_a", "subtask_b", "subtask_c"]

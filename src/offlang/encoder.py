@@ -44,6 +44,17 @@ LN_EPS = 1e-5
 MASK_NEG = -1e30  # exp() underflows to exactly 0, so PAD attention weight is 0
 
 
+def linear(params: dict[str, Tensor], rng: np.random.Generator, name: str,
+           fan_in: int, fan_out: int) -> None:
+    """Add `<name>.w` drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in)) and a
+    zero `<name>.b` to `params`."""
+    scale = 1.0 / np.sqrt(fan_in)
+    params[f"{name}.w"] = Tensor(
+        rng.uniform(-scale, scale, (fan_in, fan_out)), requires_grad=True
+    )
+    params[f"{name}.b"] = Tensor(np.zeros(fan_out), requires_grad=True)
+
+
 def init_encoder(config: EncoderConfig, seed: int) -> dict[str, Tensor]:
     """Deterministic parameter initialization keyed by module-local names."""
     config.validate()
@@ -55,21 +66,14 @@ def init_encoder(config: EncoderConfig, seed: int) -> dict[str, Tensor]:
     def uniform(name, *shape):
         params[name] = Tensor(rng.uniform(-0.05, 0.05, shape), requires_grad=True)
 
-    def linear(name, fan_in, fan_out):
-        scale = 1.0 / np.sqrt(fan_in)
-        params[f"{name}.w"] = Tensor(
-            rng.uniform(-scale, scale, (fan_in, fan_out)), requires_grad=True
-        )
-        params[f"{name}.b"] = Tensor(np.zeros(fan_out), requires_grad=True)
-
     uniform("tok_emb", config.vocab_size, config.d_model)
     uniform("pos_emb", config.max_len, config.d_model)
     for layer in range(config.n_layers):
         p = f"layer{layer}"
         for proj in ("q", "k", "v", "o"):
-            linear(f"{p}.attn.{proj}", config.d_model, config.d_model)
-        linear(f"{p}.ffn.in", config.d_model, config.d_ffn)
-        linear(f"{p}.ffn.out", config.d_ffn, config.d_model)
+            linear(params, rng, f"{p}.attn.{proj}", config.d_model, config.d_model)
+        linear(params, rng, f"{p}.ffn.in", config.d_model, config.d_ffn)
+        linear(params, rng, f"{p}.ffn.out", config.d_ffn, config.d_model)
         for ln in ("ln1", "ln2"):
             params[f"{p}.{ln}.gamma"] = Tensor(np.ones(config.d_model), requires_grad=True)
             params[f"{p}.{ln}.beta"] = Tensor(np.zeros(config.d_model), requires_grad=True)

@@ -122,20 +122,14 @@ def majority_vote(member_predictions, task: str) -> list[str]:
     if len(lengths) != 1:
         raise ValueError("ensemble members predicted different example counts")
 
-    n = lengths.pop()
-    results = []
-    for i in range(n):
-        votes = np.zeros(len(classes))
-        prob_sums = np.zeros(len(classes))
-        for member in member_predictions:
-            pred = member[i]
-            votes[classes.index(pred.label(task))] += 1
-            prob_sums += pred.probs(task)
-        top = votes.max()
-        tied = [j for j in range(len(classes)) if votes[j] == top]
-        winner = max(tied, key=lambda j: (prob_sums[j], -j))
-        results.append(classes[winner])
-    return results
+    # (K, N, C) member probabilities; reshape keeps C when N is 0
+    probs = np.array([[p.probs(task) for p in member] for member in member_predictions])
+    probs = probs.reshape(len(member_predictions), lengths.pop(), len(classes))
+    votes = (probs.argmax(axis=2)[..., None] == np.arange(len(classes))).sum(axis=0)
+    tied = votes == votes.max(axis=1, keepdims=True)
+    # argmax takes the first of equal sums: class-list order
+    winners = np.where(tied, probs.sum(axis=0), -np.inf).argmax(axis=1)
+    return [classes[j] for j in winners]
 
 
 def vote_triples(member_predictions) -> list[tuple[str, str, str]]:

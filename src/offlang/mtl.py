@@ -1,12 +1,11 @@
-"""Multi-task model: shared encoder, three LSTM task heads, weighted loss,
-plus the single-task linear baseline.
+"""Multi-task model: shared encoder, three LSTM task heads, weighted loss.
 
 Each head runs a unidirectional LSTM over the unmasked embedding sequence
 and projects its final hidden state to class logits. The three heads run
-as one fused recurrence, a single `autodiff.lstm` node. The baseline
-projects the CLS embedding directly. NULL is an ordinary class for heads B
-and C. Inference (`forward_mtl`, `forward_baseline`) builds no autodiff
-graph.
+as one fused recurrence, a single `autodiff.lstm` node. NULL is an
+ordinary class for heads B and C. Inference (`forward_mtl`) builds no
+autodiff graph. The single-task baseline is not part of the model:
+`training.train_baseline` trains a throwaway CLS head on its encoder.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 
 from .autodiff import Tensor, cross_entropy, lstm, no_grad
 from .corpus import LabeledExample, TaskLabelA, TaskLabelB, TaskLabelC
-from .encoder import EncoderConfig, encode as encoder_forward, init_encoder
+from .encoder import EncoderConfig, encode as encoder_forward, init_encoder, linear
 from .tokenizer import Vocabulary, encode_batch
 
 TASKS = ("a", "b", "c")
@@ -26,7 +25,6 @@ TASK_CLASSES = {
     "b": [l.value for l in TaskLabelB],
     "c": [l.value for l in TaskLabelC],
 }
-TASK_ENUMS = {"a": TaskLabelA, "b": TaskLabelB, "c": TaskLabelC}
 
 
 @dataclass(frozen=True)
@@ -95,17 +93,9 @@ class MtlModel:
         d, h = encoder_config.d_model, head_config.hidden
         for task in TASKS:
             n_classes = len(TASK_CLASSES[task])
-            self._init_linear(rng, f"head_{task}.lstm.x", d, 4 * h)
-            self._init_linear(rng, f"head_{task}.lstm.h", h, 4 * h)
-            self._init_linear(rng, f"head_{task}.out", h, n_classes)
-        self._init_linear(rng, "baseline.out", d, 2)
-
-    def _init_linear(self, rng, name, fan_in, fan_out):
-        scale = 1.0 / np.sqrt(fan_in)
-        self.params[f"{name}.w"] = Tensor(
-            rng.uniform(-scale, scale, (fan_in, fan_out)), requires_grad=True
-        )
-        self.params[f"{name}.b"] = Tensor(np.zeros(fan_out), requires_grad=True)
+            linear(self.params, rng, f"head_{task}.lstm.x", d, 4 * h)
+            linear(self.params, rng, f"head_{task}.lstm.h", h, 4 * h)
+            linear(self.params, rng, f"head_{task}.out", h, n_classes)
 
     # -- forward -------------------------------------------------------------
 
@@ -126,13 +116,6 @@ class MtlModel:
             for k, task in enumerate(TASKS)
         }
 
-    def logits_baseline(self, ids, mask, rng=None) -> Tensor:
-        if len(np.asarray(ids)) == 0:
-            raise ValueError("empty batch")
-        emb = self.encode(ids, mask, rng)
-        cls = emb[:, 0, :]
-        return cls @ self.params["baseline.out.w"] + self.params["baseline.out.b"]
-
     def forward_mtl(self, ids, mask) -> list[PredictionTriple]:
         with no_grad():
             logits = self.logits_mtl(ids, mask)
@@ -141,10 +124,6 @@ class MtlModel:
             PredictionTriple(probs["a"][i], probs["b"][i], probs["c"][i])
             for i in range(len(probs["a"]))
         ]
-
-    def forward_baseline(self, ids, mask) -> np.ndarray:
-        with no_grad():
-            return self.logits_baseline(ids, mask).softmax().data
 
     # -- parameter plumbing ----------------------------------------------------
 

@@ -102,12 +102,19 @@ class UnigramTable:
     """Lowercase word frequencies used by hashtag segmentation."""
     counts: dict[str, int]
     total: int = field(init=False)
+    # `log_prob`'s terms, computed once: known words, and unknown words' base
+    log_probs: dict[str, float] = field(init=False, repr=False, compare=False)
+    unknown_log_prob: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for word, count in self.counts.items():
             if not word or word != word.lower() or count <= 0:
                 raise ValueError(f"bad unigram entry {word!r}: {count}")
         object.__setattr__(self, "total", sum(self.counts.values()))
+        object.__setattr__(self, "log_probs", {
+            word: math.log10(count / self.total) for word, count in self.counts.items()
+        })
+        object.__setattr__(self, "unknown_log_prob", -math.log10(max(self.total, 1)))
 
     @classmethod
     def load(cls, path) -> "UnigramTable":
@@ -123,10 +130,10 @@ class UnigramTable:
 
     def log_prob(self, word: str) -> float:
         """log10 unigram probability; unknown words get a length penalty."""
-        count = self.counts.get(word)
-        if count is not None:
-            return math.log10(count / self.total)
-        return -math.log10(max(self.total, 1)) - len(word)
+        known = self.log_probs.get(word)
+        if known is not None:
+            return known
+        return self.unknown_log_prob - len(word)
 
 
 def bundled_emoji_table() -> EmojiTable:
@@ -235,6 +242,10 @@ def collapse_mentions(text: str) -> str:
     return " ".join(kept)
 
 
+# the whole-token substitutions `normalize` applies
+SUBSTITUTIONS = {"url": "http"}
+
+
 def substitute_rare(text: str, substitutions: dict[str, str]) -> str:
     """Whole-token substitution (url -> http and friends)."""
     if substitutions.get("url") != "http":
@@ -248,12 +259,8 @@ def substitute_rare(text: str, substitutions: dict[str, str]) -> str:
 _HASHTAG = re.compile(r"#(\w+)")
 
 
-def normalize(tweet: RawTweet, table: EmojiTable, unigrams: UnigramTable,
-              substitutions: dict[str, str] | None = None) -> NormalizedTweet:
+def normalize(tweet: RawTweet, table: EmojiTable, unigrams: UnigramTable) -> NormalizedTweet:
     """Apply the full preprocessing pipeline in its fixed step order."""
-    if substitutions is None:
-        substitutions = {"url": "http"}
-
     # original-case hashtag bodies drive the camel-case split
     segmented = {
         body.lower(): segment_hashtag(body, unigrams)
@@ -266,5 +273,5 @@ def normalize(tweet: RawTweet, table: EmojiTable, unigrams: UnigramTable,
     text = _HASHTAG.sub(lambda m: segmented[m.group(1)] if m.group(1) in segmented
                         else segment_hashtag(m.group(1), unigrams), text)
     text = collapse_mentions(text)
-    text = substitute_rare(text, substitutions)
+    text = substitute_rare(text, SUBSTITUTIONS)
     return NormalizedTweet(id=tweet.id, text=text, steps_applied=STEP_ORDER)

@@ -199,13 +199,26 @@ def train(model: MtlModel, vocab: Vocabulary,
     return model, history
 
 
+def _cls_head(model: MtlModel, rng: np.random.Generator, n_out: int):
+    """A throwaway linear head on the CLS embedding, its weights drawn from
+    `rng`: its logits function, and the model's parameters plus the head's."""
+    d = model.encoder_config.d_model
+    head_w = Tensor(rng.uniform(-1, 1, (d, n_out)) / np.sqrt(d), requires_grad=True)
+    head_b = Tensor(np.zeros(n_out), requires_grad=True)
+
+    def logits(ids, mask, drop_rng=None):
+        return model.encode(ids, mask, drop_rng)[:, 0, :] @ head_w + head_b
+
+    return logits, {**model.params, "cls_head.w": head_w, "cls_head.b": head_b}
+
+
 def train_baseline(model: MtlModel, vocab: Vocabulary,
                    train_examples: list[LabeledExample],
                    val_examples: list[LabeledExample],
                    config: TrainConfig) -> tuple[MtlModel, TrainHistory]:
-    """Single-task reference: cross-entropy on the linear CLS head for task A
-    only, same optimizer and early-stopping protocol as the MTL loop. The
-    B and C validation F1 columns read 0."""
+    """Single-task reference: cross-entropy for task A on a throwaway linear
+    CLS head, which is discarded; same optimizer and early-stopping protocol
+    as the MTL loop. The B and C validation F1 columns read 0."""
     if not train_examples or not val_examples:
         raise ValueError("train and validation corpora must be non-empty")
     max_len = model.encoder_config.max_len
@@ -213,18 +226,21 @@ def train_baseline(model: MtlModel, vocab: Vocabulary,
     targets, _ = batch_targets(train_examples)
     val_ids, val_mask = _encode_examples(val_examples, vocab, max_len)
     val_golds = [ex.labels.a.value for ex in val_examples]
+    # its own generator, so the minibatches are the ones `train` draws
+    logits, trainable = _cls_head(model, np.random.default_rng(config.seed + 1), 2)
 
     def step_loss(batch, drop_rng):
-        logits = model.logits_baseline(ids[batch], mask[batch], drop_rng)
-        return cross_entropy(logits, targets["a"][batch], np.ones(len(batch)))
+        return cross_entropy(logits(ids[batch], mask[batch], drop_rng),
+                             targets["a"][batch], np.ones(len(batch)))
 
     def validate():
-        probs = model.forward_baseline(val_ids, val_mask)
+        with no_grad():
+            probs = logits(val_ids, val_mask).softmax().data
         preds = [TASK_CLASSES["a"][int(i)] for i in probs.argmax(axis=1)]
         return {"a": evaluation.macro_f1(val_golds, preds, TASK_CLASSES["a"]),
                 "b": 0.0, "c": 0.0}
 
-    history = fit(model.params, len(train_examples), step_loss, config,
+    history = fit(trainable, len(train_examples), step_loss, config,
                   np.random.default_rng(config.seed), validate)
     return model, history
 
@@ -241,21 +257,15 @@ def pretrain_regression(model: MtlModel, vocab: Vocabulary,
     if not scored:
         raise ValueError("scored corpus must be non-empty")
     rng = np.random.default_rng(config.seed)
-    d = model.encoder_config.d_model
-    head_w = Tensor(rng.uniform(-1, 1, (d, 1)) / np.sqrt(d), requires_grad=True)
-    head_b = Tensor(np.zeros(1), requires_grad=True)
+    logits, trainable = _cls_head(model, rng, 1)
     ids, mask = _encode_examples(scored, vocab, model.encoder_config.max_len)
     targets = np.array([ex.avg_conf for ex in scored])
 
     def step_loss(batch, drop_rng):
-        emb = model.encode(ids[batch], mask[batch], drop_rng)
-        pred = (emb[:, 0, :] @ head_w + head_b).sigmoid().reshape(-1)
+        pred = logits(ids[batch], mask[batch], drop_rng).sigmoid().reshape(-1)
         err = pred - Tensor(targets[batch])
         return (err ** 2.0).mean()
 
-    trainable = dict(model.params)
-    trainable["__regression.w"] = head_w
-    trainable["__regression.b"] = head_b
     history = fit(trainable, len(scored), step_loss, config, rng)
     return model, history.train_loss
 

@@ -144,7 +144,7 @@ class TestTrainEvaluate:
                          "--val", val_tsv, "--out", str(ckpt)]) == 0
         echoed = json.loads((tmp_path / "m.ckpt.config.json").read_text())
         assert echoed["train"]["batch_size"] == 16
-        assert "ensemble_size" in echoed  # defaults filled in
+        assert echoed["vocab"] == {"min_freq": 1, "max_size": None}  # defaults filled in
 
     def test_paper_hyperparameters_accepted_and_echoed(self, tmp_path, capsys):
         config = write_config(tmp_path, train={

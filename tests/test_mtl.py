@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -81,19 +83,6 @@ class TestForward:
         with pytest.raises(ValueError):
             model.forward_mtl(np.zeros((0, 12), dtype=int), np.zeros((0, 12), dtype=int))
 
-    def test_baseline_shape_and_normalization(self, batch):
-        model, _, _, ids, mask = batch
-        probs = model.forward_baseline(ids, mask)
-        assert probs.shape == (len(ids), 2)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_baseline_uniform_with_zeroed_projection(self, batch):
-        model, _, _, ids, mask = batch
-        model.params["baseline.out.w"].data[:] = 0.0
-        model.params["baseline.out.b"].data[:] = 0.0
-        probs = model.forward_baseline(ids, mask)
-        np.testing.assert_allclose(probs, 0.5, atol=1e-12)
-
     def test_argmax_invariant_to_logit_shift(self, batch):
         model, _, _, ids, mask = batch
         before = [p.label_b for p in model.forward_mtl(ids, mask)]
@@ -154,7 +143,7 @@ class TestLoss:
         enc_norm = sum(
             np.abs(t.grad).sum()
             for n, t in model.params.items()
-            if not n.startswith(("head_", "baseline.")) and t.grad is not None
+            if not n.startswith("head_") and t.grad is not None
         )
         assert enc_norm > 0
 
@@ -208,3 +197,41 @@ class TestCheckpoint:
             assert np.array_equal(x.probs_a, y.probs_a)
             assert np.array_equal(x.probs_b, y.probs_b)
             assert np.array_equal(x.probs_c, y.probs_c)
+
+    def test_version_1_with_baseline_head_loads(self, tmp_path, batch):
+        model, vocab, _, ids, mask = batch
+        assert not any(name.startswith("baseline.") for name in model.params)
+        v2 = tmp_path / "v2.ckpt"
+        save_checkpoint(v2, model, vocab, LossWeights())
+        v1 = tmp_path / "v1.ckpt"
+        rewrite_checkpoint(v2, v1, version=1, extra={
+            "baseline.out.w": np.ones((model.encoder_config.d_model, 2)),
+            "baseline.out.b": np.ones(2)})
+        from_v1, _, _ = load_checkpoint(v1)
+        from_v2, _, _ = load_checkpoint(v2)
+        for x, y in zip(from_v1.forward_mtl(ids, mask), from_v2.forward_mtl(ids, mask)):
+            for task in ("a", "b", "c"):
+                assert np.array_equal(x.probs(task), y.probs(task))
+
+    def test_version_2_with_baseline_head_rejected(self, tmp_path, batch):
+        model, vocab, _, _, _ = batch
+        v2 = tmp_path / "v2.ckpt"
+        save_checkpoint(v2, model, vocab, LossWeights())
+        stray = tmp_path / "stray.ckpt"
+        rewrite_checkpoint(v2, stray, version=2, extra={
+            "baseline.out.w": np.ones((model.encoder_config.d_model, 2)),
+            "baseline.out.b": np.ones(2)})
+        with pytest.raises(ValueError, match="is not a valid checkpoint"):
+            load_checkpoint(stray)
+
+
+def rewrite_checkpoint(src, dst, version, extra):
+    """Copy a checkpoint with its metadata version set and `extra` parameters added."""
+    with np.load(src) as data:
+        arrays = {key: data[key] for key in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    meta["version"] = version
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    arrays.update({f"param/{name}": arr for name, arr in extra.items()})
+    with open(dst, "wb") as handle:
+        np.savez(handle, **arrays)

@@ -142,14 +142,21 @@ class TestPretrainRegression:
         # full-batch epochs: each epoch is one small-lr step
         assert epoch_mse[0] > epoch_mse[1] > epoch_mse[2]
 
-    def test_regression_head_discarded(self):
+    @pytest.mark.parametrize("entry", [pretrain_regression, train_baseline],
+                             ids=lambda f: f.__name__)
+    def test_regression_head_discarded(self, entry):
+        examples = make_hierarchical_corpus(10, seed=4)
         scored = make_scored_corpus(10, seed=4)
-        vocab = build_vocab([e.tweet.text for e in scored])
+        vocab = build_vocab([e.tweet.text for e in examples + scored])
         model = tiny_model(len(vocab), seed=4)
-        names_before = set(model.params)
+        before = model.state_arrays()
         config = TrainConfig(learning_rate=1e-3, batch_size=10, max_epochs=1, seed=4)
-        model, _ = pretrain_regression(model, vocab, scored, config)
-        assert set(model.params) == names_before
+        corpora = (scored,) if entry is pretrain_regression else (examples, examples)
+        model, _ = entry(model, vocab, *corpora, config)
+        assert set(model.params) == set(before)
+        for name in before:     # the task heads take no part in either loss
+            if name.startswith("head_"):
+                assert np.array_equal(model.params[name].data, before[name]), name
 
     def test_encoder_actually_updates(self):
         scored = make_scored_corpus(10, seed=5)
