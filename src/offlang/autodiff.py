@@ -8,6 +8,12 @@ one fused `lstm` node, a single recurrence over all heads whose backward
 is hand-written BPTT; like every other op, it is checked against finite
 differences. Inside `no_grad()` ops build no graph, which is how inference
 runs.
+
+Padded batches carry a (B, T) mask whose rows are real tokens (1) first,
+then PAD (0); `prefix_lengths` enforces that. Execution is packed: `lstm`
+steps only the rows still running, and `gather_rows`/`scatter_rows` move
+an encoder's real tokens between a packed (N, ...) array and a padded
+layout.
 """
 
 from __future__ import annotations
@@ -315,103 +321,165 @@ def rows(table: Tensor, ids: np.ndarray) -> Tensor:
     return Tensor._result(out_data, (table,), backward)
 
 
+def prefix_lengths(mask: np.ndarray) -> np.ndarray:
+    """Row lengths of a (B, T) mask laid out as real tokens (1) first, then
+    PAD (0). Any other mask raises ValueError."""
+    mask = np.asarray(mask)
+    if mask.ndim != 2:
+        raise ValueError("mask must be (batch, length)")
+    lengths = np.count_nonzero(mask, axis=1)
+    if not np.array_equal(mask, np.arange(mask.shape[1]) < lengths[:, None]):
+        raise ValueError("each mask row must be 1s for its real tokens followed "
+                         "by 0s for PAD")
+    return lengths
+
+
+def scatter_rows(x: Tensor, index: np.ndarray, n_rows: int) -> Tensor:
+    """An (n_rows, ...) array of zeros with the rows of `x` at the distinct
+    positions `index`; the backward gathers them back."""
+    out_data = np.zeros((n_rows,) + x.shape[1:])
+    out_data[index] = x.data
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g[index])
+
+    return Tensor._result(out_data, (x,), backward)
+
+
+def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
+    """The rows of `x` at the distinct positions `index`. Unlike `rows`, the
+    backward assigns instead of accumulating, since no row repeats."""
+    def backward(g):
+        if x.requires_grad:
+            full = np.zeros_like(x.data)
+            full[index] = g
+            x._accumulate(full)
+
+    return Tensor._result(x.data[index], (x,), backward)
+
+
 def lstm(x: Tensor, mask: np.ndarray, heads: list) -> Tensor:
     """Final hidden states (K, B, h) of K masked one-direction LSTMs that read
     the same input, as one node.
 
-    x: (B, T, d); mask: (B, T), 1 = real token; heads: K sequences
-    (wx, bx, wh, bh) with wx: (d, 4h) and wh: (h, 4h). Gate blocks are
-    ordered input, forget, cell, output. One time loop steps every head at
-    once. The recurrence stops at the first all-PAD column, and a row's
-    padded steps carry its state forward, so each row ends at the state of
-    its last real token. The backward is hand-written BPTT over the same
-    masked carry.
+    x: (B, T, d); mask: (B, T), each row 1 for its real tokens, then 0 for
+    PAD (see `prefix_lengths`); heads: K sequences (wx, bx, wh, bh) with
+    wx: (d, 4h) and wh: (h, 4h). Gate blocks are ordered input, forget,
+    cell, output. Execution is packed, as in PyTorch's pack_padded_sequence:
+    the rows are sorted by length, longest first, so the rows still running
+    at step t are a prefix of that order, and one time loop steps only that
+    prefix, for every head at once. A row's state is left as it was after
+    its last real token, and a row without one keeps the zero state. The
+    backward is hand-written BPTT over the same prefixes. Buffers hold one
+    entry per real (row, step) pair, time-major.
     """
     K = len(heads)
     B, T, d = x.shape
     h = heads[0][2].shape[0]
-    mask = np.asarray(mask, dtype=np.float64)
-    pad_columns = np.flatnonzero(~mask.any(axis=0))
-    steps = int(pad_columns[0]) if pad_columns.size else T
-    m_all = mask[:, :steps, None]
-    keep_all = 1.0 - m_all                        # padded steps keep the old state
-    x_used = x.data[:, :steps]
+    if np.shape(mask) != (B, T):
+        raise ValueError("mask must have the batch and length of x")
+    lengths = prefix_lengths(mask)
+    steps = int(lengths.max(initial=0))
+    order = np.argsort(-lengths, kind="stable")
+    sizes = np.count_nonzero(lengths[:, None] > np.arange(steps), axis=0)   # live rows per step
+    starts = np.concatenate(([0], np.cumsum(sizes)))    # step t: entries starts[t]:starts[t + 1]
+    n = int(starts[-1])
+    step_of = np.repeat(np.arange(steps), sizes)
+    row_of = order[np.arange(n) - starts[step_of]]
+    x_packed = x.data[row_of, step_of]            # (n, d)
     wh_all = np.stack([wh.data for _, _, wh, _ in heads])       # (K, h, 4h)
     bh_all = np.stack([bh.data for _, _, _, bh in heads])[:, None]    # (K, 1, 4h)
 
-    hs = np.zeros((K, B, steps + 1, h))           # hs[:, :, t]: state before step t
-    cs = np.zeros((K, B, steps + 1, h))
-    acts = np.empty((K, B, steps, 4, h))          # sigmoid i, f, o; tanh g
-    tcs = np.empty((K, B, steps, h))              # tanh of the unmasked new cell
+    hs = np.zeros((K, n, h))                      # state before each entry's step
+    cs = np.zeros((K, n, h))
+    acts = np.empty((K, n, 4, h))                 # sigmoid i, f, o; tanh g
+    tcs = np.empty((K, n, h))                     # tanh of the new cell
+    last = np.zeros((K, B, h))                    # final states, longest row first
     # each head's input projection goes straight into the activation buffer;
-    # step t reads its slot before overwriting it with the activations
-    xg = acts.reshape(K, B, steps, 4 * h)
+    # step t reads its entries before overwriting them with the activations
+    xg = acts.reshape(K, n, 4 * h)
     for k, (wx, bx, _, _) in enumerate(heads):
-        np.matmul(x_used, wx.data, out=xg[k])
+        np.matmul(x_packed, wx.data, out=xg[k])
         xg[k] += bx.data
-    i_g, f_g, g_g, o_g = (acts[:, :, :, k] for k in range(4))
+    i_g, f_g, g_g, o_g = (acts[:, :, k] for k in range(4))
     for t in range(steps):
-        h_t, c_t, m, keep = hs[:, :, t], cs[:, :, t], m_all[:, t], keep_all[:, t]
-        gates = xg[:, :, t] + h_t @ wh_all + bh_all
-        acts[:, :, t] = _sigmoid(gates).reshape(K, B, 4, h)
-        g_g[:, :, t] = np.tanh(gates[:, :, 2 * h:3 * h])
-        c_new = f_g[:, :, t] * c_t + i_g[:, :, t] * g_g[:, :, t]
-        tcs[:, :, t] = np.tanh(c_new)
-        h_new = o_g[:, :, t] * tcs[:, :, t]
-        cs[:, :, t + 1] = m * c_new + keep * c_t
-        hs[:, :, t + 1] = m * h_new + keep * h_t
+        lo, hi = starts[t], starts[t + 1]
+        live = hi - lo
+        kept = sizes[t + 1] if t + 1 < steps else 0      # rows that run on to step t + 1
+        gates = xg[:, lo:hi] + hs[:, lo:hi] @ wh_all + bh_all
+        acts[:, lo:hi] = _sigmoid(gates).reshape(K, live, 4, h)
+        g_g[:, lo:hi] = np.tanh(gates[:, :, 2 * h:3 * h])
+        c_new = f_g[:, lo:hi] * cs[:, lo:hi] + i_g[:, lo:hi] * g_g[:, lo:hi]
+        tcs[:, lo:hi] = np.tanh(c_new)
+        h_new = o_g[:, lo:hi] * tcs[:, lo:hi]
+        cs[:, hi:hi + kept] = c_new[:, :kept]
+        hs[:, hi:hi + kept] = h_new[:, :kept]
+        last[:, kept:live] = h_new[:, kept:]          # rows whose last token is at t
+    out_data = np.empty_like(last)
+    out_data[:, order] = last
 
     def backward(g):
         # d gate pre-activation / d c_new for i, f, g and / d h_new for o,
-        # for every step at once; step t then scales its own slot into
+        # for every entry at once; step t then scales its own entries into
         # d gate pre-activation, so the buffer ends as the gate gradient
         local = np.empty_like(acts)
-        local[:, :, :, 0] = g_g * i_g * (1.0 - i_g)
-        local[:, :, :, 1] = cs[:, :, :steps] * f_g * (1.0 - f_g)
-        local[:, :, :, 2] = i_g * (1.0 - g_g * g_g)
-        local[:, :, :, 3] = tcs * o_g * (1.0 - o_g)
+        local[:, :, 0] = g_g * i_g * (1.0 - i_g)
+        local[:, :, 1] = cs * f_g * (1.0 - f_g)
+        local[:, :, 2] = i_g * (1.0 - g_g * g_g)
+        local[:, :, 3] = tcs * o_g * (1.0 - o_g)
         dc_dh = o_g * (1.0 - tcs * tcs)           # d c_new / d h_new
         wh_t = wh_all.transpose(0, 2, 1)
-        dxg = local.reshape(K, B, steps, 4 * h)
+        dxg = local.reshape(K, n, 4 * h)
 
-        dh = g
+        dh = g[:, order]                          # a row's gradient waits for its last step
         dc = np.zeros((K, B, h))
         for t in reversed(range(steps)):
-            m, keep = m_all[:, t], keep_all[:, t]
-            dh_new = m * dh
-            dc_new = m * dc + dh_new * dc_dh[:, :, t]
-            local[:, :, t, :3] *= dc_new[:, :, None]
-            local[:, :, t, 3] *= dh_new
-            dc = keep * dc + dc_new * f_g[:, :, t]
-            dh = keep * dh + dxg[:, :, t] @ wh_t
+            lo, hi = starts[t], starts[t + 1]
+            live = hi - lo
+            dh_new = dh[:, :live]
+            dc_new = dc[:, :live] + dh_new * dc_dh[:, lo:hi]
+            local[:, lo:hi, :3] *= dc_new[:, :, None]
+            local[:, lo:hi, 3] *= dh_new
+            dc[:, :live] = dc_new * f_g[:, lo:hi]
+            dh[:, :live] = dxg[:, lo:hi] @ wh_t
 
-        flat = dxg.reshape(K, B * steps, 4 * h)
         if x.requires_grad:
-            dx = np.zeros_like(x.data)
+            dx_packed = np.zeros((n, d))
             for k, (wx, _, _, _) in enumerate(heads):
-                dx[:, :steps] += (flat[k] @ wx.data.T).reshape(B, steps, d)
+                dx_packed += dxg[k] @ wx.data.T
+            dx = np.zeros_like(x.data)
+            dx[row_of, step_of] = dx_packed
             x._accumulate(dx)
-        x_flat = x_used.reshape(B * steps, d)
         for k, (wx, bx, wh, bh) in enumerate(heads):
             if wx.requires_grad:
-                wx._accumulate(x_flat.T @ flat[k])
+                wx._accumulate(x_packed.T @ dxg[k])
             if wh.requires_grad:
-                wh._accumulate(hs[k, :, :steps].reshape(B * steps, h).T @ flat[k])
-            db = flat[k].sum(axis=0)
+                wh._accumulate(hs[k].T @ dxg[k])
+            db = dxg[k].sum(axis=0)
             for bias in (bx, bh):
                 if bias.requires_grad:
                     bias._accumulate(db)
 
     parents = (x,) + tuple(p for head in heads for p in head)
-    return Tensor._result(hs[:, :, steps].copy(), parents, backward)
+    return Tensor._result(out_data, parents, backward)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout. `rng=None` or rate 0 means evaluation mode (identity)."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
+            draw_shape: tuple | None = None, pick=None) -> Tensor:
+    """Inverted dropout. `rng=None` or rate 0 means evaluation mode (identity).
+
+    The keep mask is drawn at `draw_shape` (default: x's shape) and `pick`
+    maps it to x's shape. A packed or trimmed `x` thus gets the mask entries
+    its positions have in the padded layout, and the random stream advances
+    as it would there.
+    """
     if rng is None or rate <= 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= rate).astype(np.float64) / (1.0 - rate)
-    return x * Tensor(keep)
+    keep = rng.random(draw_shape or x.data.shape) >= rate
+    if pick is not None:
+        keep = pick(keep)
+    return x * Tensor(keep.astype(np.float64) / (1.0 - rate))
 
 
 def logsumexp(logits: Tensor) -> Tensor:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 import zipfile
 
 import numpy as np
@@ -39,13 +41,57 @@ def save_checkpoint(path, model: MtlModel, vocab: Vocabulary,
         np.savez(handle, **arrays)
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value can stand for a field annotated `hint`. A float
+    field takes an int, an int field no float and neither a bool; a
+    dataclass field takes a list with one value per field."""
+    if hint is bool:
+        return isinstance(value, bool)
+    if hint is int or hint is float:
+        numbers = (int,) if hint is int else (int, float)
+        return isinstance(value, numbers) and not isinstance(value, bool)
+    if hint is type(None):
+        return value is None
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_fits(value, option) for option in typing.get_args(hint))
+    if dataclasses.is_dataclass(hint):
+        parts = list(typing.get_type_hints(hint).values())
+        return (isinstance(value, list) and len(value) == len(parts)
+                and all(_fits(v, part) for v, part in zip(value, parts)))
+    raise TypeError(f"no JSON form for {hint}")
+
+
+def check_section(section, hints: dict, where: str) -> dict:
+    """Return `section` if it is a dict with exactly the keys of `hints`,
+    each holding a value of the type `hints` gives it (see `_fits`);
+    otherwise raise one ValueError that starts with `where`."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(section).__name__}")
+    unknown, missing = sorted(set(section) - set(hints)), sorted(set(hints) - set(section))
+    if unknown or missing:
+        raise ValueError(f"{where} must have exactly the keys {sorted(hints)}"
+                         + (f"; unknown: {unknown}" if unknown else "")
+                         + (f"; missing: {missing}" if missing else ""))
+    for name, value in section.items():
+        if not _fits(value, hints[name]):
+            raise ValueError(f"{where}: {name} must be {_describe(hints[name])}, "
+                             f"not {json.dumps(value)}")
+    return section
+
+
+def _describe(hint) -> str:
+    if dataclasses.is_dataclass(hint):
+        return f"a list of {len(dataclasses.fields(hint))} numbers"
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return " or ".join(_describe(option) for option in typing.get_args(hint))
+    return {int: "an integer", float: "a number", bool: "true or false",
+            type(None): "null"}[hint]
+
+
 def _config(cls, section):
     """Build a config dataclass from a metadata section with exactly its keys."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    if not isinstance(section, dict) or set(section) != names:
-        raise ValueError(f"{cls.__name__} metadata must have exactly the keys "
-                         f"{sorted(names)}")
-    return cls(**section)
+    return cls(**check_section(section, typing.get_type_hints(cls),
+                               f"{cls.__name__} metadata"))
 
 
 def load_checkpoint(path) -> tuple[MtlModel, Vocabulary, LossWeights]:

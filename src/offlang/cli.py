@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 
 from . import checkpoint, corpus, evaluation, mtl, textnorm, tokenizer, training
 from .encoder import EncoderConfig
@@ -38,16 +39,34 @@ DEFAULT_CONFIG = {
 }
 
 
+# each section's keys and their types; the encoder's vocab_size comes from
+# the vocabulary
+CONFIG_FIELDS = {
+    "encoder": {name: hint for name, hint in typing.get_type_hints(EncoderConfig).items()
+                if name != "vocab_size"},
+    "head": typing.get_type_hints(mtl.HeadConfig),
+    "train": typing.get_type_hints(training.TrainConfig),
+    "vocab": {"min_freq": int, "max_size": int | None},
+}
+
+
 def load_config(path: str | None) -> dict:
+    """DEFAULT_CONFIG with the sections of the JSON file at `path` merged
+    in, key by key. A file that is not a JSON object of known sections, or
+    a key or value that does not fit its section, raises one ValueError."""
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is not None:
         with open(path, encoding="utf-8") as handle:
             overrides = json.load(handle)
+        if not isinstance(overrides, dict) or not set(overrides) <= set(config):
+            raise ValueError(f"config {path} must be a JSON object with sections "
+                             f"from {sorted(config)}")
         for section, values in overrides.items():
-            if isinstance(values, dict) and isinstance(config.get(section), dict):
-                config[section].update(values)
-            else:
-                config[section] = values
+            if not isinstance(values, dict):
+                raise ValueError(f"config section {section!r} must be a JSON object")
+            config[section].update(values)
+    for section, hints in CONFIG_FIELDS.items():
+        checkpoint.check_section(config[section], hints, f"config section {section!r}")
     return config
 
 
@@ -181,12 +200,11 @@ def cmd_ensemble(args) -> int:
         if vocab is None:
             vocab = member_vocab
             examples = corpus.load_labeled(args.data, context)
-            ids, mask = tokenizer.encode_batch(
-                [ex.tweet.text for ex in examples], vocab,
-                model.encoder_config.max_len,
-            )
         elif member_vocab.token_to_id != vocab.token_to_id:
             raise ValueError("ensemble members must share one vocabulary")
+        # each member reads the data at its own max_len
+        ids, mask = tokenizer.encode_batch(
+            [ex.tweet.text for ex in examples], vocab, model.encoder_config.max_len)
         members.append(model.forward_mtl(ids, mask))
     triples = evaluation.vote_triples(members)
     lines = [
@@ -331,3 +349,7 @@ def dispatch(argv) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -2,7 +2,8 @@
 
 Post-layernorm blocks, learned positional embeddings, GELU feed-forward,
 CLS-first inputs. Desk-scale by default; all math in float64 through the
-autodiff core so gradients are exact.
+autodiff core so gradients are exact. Execution is packed: the
+position-wise layers run on the batch's real tokens only (see `encode`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .autodiff import Tensor, dropout, rows
+from .autodiff import Tensor, dropout, gather_rows, prefix_lengths, rows, scatter_rows
 
 
 @dataclass(frozen=True)
@@ -88,51 +89,83 @@ def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def _attention(x: Tensor, params: dict[str, Tensor], prefix: str,
-               config: EncoderConfig, attn_bias: np.ndarray,
-               rng: np.random.Generator | None) -> Tensor:
-    B, T, D = x.shape
+               config: EncoderConfig, layout: tuple[int, int], slots: np.ndarray,
+               attn_bias: np.ndarray, drop_weights) -> Tensor:
+    """Self-attention over packed tokens x (N, d). Q, K and V are projected
+    per token, then laid out as (B, L) at `slots` for the scores; each
+    token's context is read back from its slot before the output
+    projection."""
+    B, L = layout
+    D = x.shape[1]
     H = config.n_heads
     dh = D // H
 
     def heads(name):
         proj = x @ params[f"{prefix}.{name}.w"] + params[f"{prefix}.{name}.b"]
-        return proj.reshape(B, T, H, dh).transpose(0, 2, 1, 3)  # (B,H,T,dh)
+        padded = scatter_rows(proj, slots, B * L)
+        return padded.reshape(B, L, H, dh).transpose(0, 2, 1, 3)  # (B,H,L,dh)
 
     q, k, v = heads("q"), heads("k"), heads("v")
     scores = q @ k.transpose(0, 1, 3, 2) * (1.0 / np.sqrt(dh))
     scores = scores + Tensor(attn_bias)
-    weights = dropout(scores.softmax(), config.dropout_rate, rng)
-    ctx = (weights @ v).transpose(0, 2, 1, 3).reshape(B, T, D)
-    return ctx @ params[f"{prefix}.o.w"] + params[f"{prefix}.o.b"]
+    weights = drop_weights(scores.softmax())
+    ctx = (weights @ v).transpose(0, 2, 1, 3).reshape(B * L, D)
+    return gather_rows(ctx, slots) @ params[f"{prefix}.o.w"] + params[f"{prefix}.o.b"]
 
 
 def encode(params: dict[str, Tensor], config: EncoderConfig,
            ids: np.ndarray, mask: np.ndarray,
            rng: np.random.Generator | None = None) -> Tensor:
-    """Contextual embeddings (B, max_len, d_model).
+    """Contextual embeddings (B, T, d_model) for ids (B, T), T <= max_len.
 
-    `rng` turns dropout on (training); None is deterministic evaluation.
-    Attention never attends to PAD positions.
+    Each mask row is 1 for the row's real tokens, then 0 for PAD (see
+    `autodiff.prefix_lengths`). Execution is packed: the real tokens are
+    gathered into one (N, d_model) array, on which the embeddings, the
+    Q/K/V/O and feed-forward projections, GELU, layer norm, residuals and
+    dropout run. Only the attention scores use a (B, L) layout, where L is
+    the longest row, and PAD keys get zero weight. PAD positions of the
+    output are zero. `rng` turns dropout on (training); None is
+    deterministic evaluation. Each dropout mask is drawn at its padded
+    (B, T, ...) shape and then gathered, so masks and the random stream
+    do not depend on the packing.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    mask = np.asarray(mask, dtype=np.float64)
-    if ids.ndim != 2:
+    if ids.ndim != 2 or ids.shape[1] == 0:
         raise ValueError("ids must be (batch, max_len)")
+    B, T = ids.shape
+    if T > config.max_len:
+        raise ValueError(f"ids are {T} positions wide, but the encoder's "
+                         f"max_len is {config.max_len}")
+    if np.shape(mask) != (B, T):
+        raise ValueError("mask must have the shape of ids")
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= config.vocab_size:
         raise ValueError("token id out of vocabulary range")
+    lengths = prefix_lengths(mask)
 
-    B, T = ids.shape
-    x = rows(params["tok_emb"], ids) + params["pos_emb"][:T]
-    x = dropout(x, config.dropout_rate, rng)
+    D, H, rate = config.d_model, config.n_heads, config.dropout_rate
+    L = max(int(lengths.max(initial=0)), 1)
+    real = np.arange(T) < lengths[:, None]
+    tokens = np.flatnonzero(real)                 # row-major (b, t)
+    row, pos = np.divmod(tokens, T)
+    slots = row * L + pos                         # each token's place in (B, L)
+    attn_bias = (1.0 - real[:, :L])[:, None, None, :] * MASK_NEG    # (B,1,1,L)
 
-    attn_bias = (1.0 - mask)[:, None, None, :] * MASK_NEG  # (B,1,1,T)
+    def drop_tokens(x):
+        return dropout(x, rate, rng, (B, T, D), lambda keep: keep.reshape(B * T, D)[tokens])
+
+    def drop_weights(w):
+        return dropout(w, rate, rng, (B, H, T, T), lambda keep: keep[:, :, :L, :L])
+
+    x = rows(params["tok_emb"], ids.reshape(-1)[tokens]) + rows(params["pos_emb"], pos)
+    x = drop_tokens(x)
     for layer in range(config.n_layers):
         p = f"layer{layer}"
-        attn = _attention(x, params, f"{p}.attn", config, attn_bias, rng)
-        x = _layer_norm(x + dropout(attn, config.dropout_rate, rng),
+        attn = _attention(x, params, f"{p}.attn", config, (B, L), slots, attn_bias,
+                          drop_weights)
+        x = _layer_norm(x + drop_tokens(attn),
                         params[f"{p}.ln1.gamma"], params[f"{p}.ln1.beta"])
         hidden = (x @ params[f"{p}.ffn.in.w"] + params[f"{p}.ffn.in.b"]).gelu()
         ffn = hidden @ params[f"{p}.ffn.out.w"] + params[f"{p}.ffn.out.b"]
-        x = _layer_norm(x + dropout(ffn, config.dropout_rate, rng),
+        x = _layer_norm(x + drop_tokens(ffn),
                         params[f"{p}.ln2.gamma"], params[f"{p}.ln2.beta"])
-    return x
+    return scatter_rows(x, tokens, B * T).reshape(B, T, D)

@@ -59,21 +59,23 @@ class PredictionTriple:
 
     @property
     def label_a(self) -> str:
-        return TASK_CLASSES["a"][int(np.argmax(self.probs_a))]
+        return self.label("a")
 
     @property
     def label_b(self) -> str:
-        return TASK_CLASSES["b"][int(np.argmax(self.probs_b))]
+        return self.label("b")
 
     @property
     def label_c(self) -> str:
-        return TASK_CLASSES["c"][int(np.argmax(self.probs_c))]
+        return self.label("c")
 
     def label(self, task: str) -> str:
-        return {"a": self.label_a, "b": self.label_b, "c": self.label_c}[task]
+        return TASK_CLASSES[task][int(np.argmax(self.probs(task)))]
 
     def probs(self, task: str) -> np.ndarray:
-        return {"a": self.probs_a, "b": self.probs_b, "c": self.probs_c}[task]
+        if task not in TASK_CLASSES:
+            raise KeyError(task)
+        return getattr(self, f"probs_{task}")
 
 
 class MtlModel:

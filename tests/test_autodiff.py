@@ -4,9 +4,13 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from offlang import autodiff
-from offlang.autodiff import Tensor, _sigmoid, cross_entropy, dropout, lstm, no_grad, rows
+from offlang.autodiff import (
+    Tensor, _sigmoid, cross_entropy, dropout, gather_rows, lstm, no_grad, prefix_lengths,
+    rows, scatter_rows,
+)
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -118,6 +122,15 @@ class TestOps:
         ids = np.array([[0, 3, 3], [6, 0, 1]])
         check(lambda t: (rows(t, ids) ** 2.0).sum(), table)
 
+    def test_scatter_and_gather_distinct_rows(self):
+        a = RNG.normal(size=(4, 3))
+        index = np.array([5, 0, 2, 6])
+        w = RNG.normal(size=(7, 3))
+        out = scatter_rows(Tensor(a), index, 7).data
+        assert np.array_equal(out[index], a) and not np.delete(out, index, axis=0).any()
+        check(lambda x: (scatter_rows(x, index, 7) * Tensor(w)).sum(), a)
+        check(lambda x: (gather_rows(x, index) ** 2.0).sum(), w)
+
     def test_cross_entropy_matches_manual(self):
         logits = RNG.normal(size=(5, 3))
         targets = np.array([0, 2, 1, 1, 0])
@@ -165,6 +178,12 @@ class TestMachinery:
     def test_dropout_eval_mode_is_identity(self):
         x = Tensor(RNG.normal(size=(5, 5)))
         assert dropout(x, 0.5, None) is x
+
+    def test_dropout_picks_from_the_mask_of_the_drawn_shape(self):
+        x = Tensor(np.ones((3, 2)))
+        picked = dropout(x, 0.5, np.random.default_rng(4), (4, 2), lambda keep: keep[1:])
+        full = dropout(Tensor(np.ones((4, 2))), 0.5, np.random.default_rng(4))
+        assert np.array_equal(picked.data, full.data[1:])
 
     def test_dropout_preserves_expectation(self):
         rng = np.random.default_rng(0)
@@ -259,7 +278,9 @@ class TestLstm:
         weights = np.random.default_rng(seed + 100).normal(size=(len(MASK), H))
         out, grads = grads_of(lstm_one, arrays, MASK, weights)
         ref_out, ref_grads = grads_of(reference_lstm, arrays, MASK, weights)
-        assert np.array_equal(out, ref_out)
+        # packed steps run fewer rows, so a one-row step may take numpy's
+        # matrix-vector path; |h| < 1, so the tolerance is absolute
+        assert np.abs(out - ref_out).max() <= 1e-15
         for name, g, ref in zip(("x", "wx", "bx", "wh", "bh"), grads, ref_grads):
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), name
         # nothing reaches the all-PAD tail column
@@ -298,7 +319,7 @@ class TestLstm:
         out, grads = multi_grads(arrays, MASK, weights, reference=False)
         ref_out, ref_grads = multi_grads(arrays, MASK, weights, reference=True)
         assert out.shape == (3, len(MASK), H)
-        assert np.array_equal(out, ref_out)
+        assert np.abs(out - ref_out).max() <= 1e-15
         assert len(grads) == 13
         for i, (g, ref) in enumerate(zip(grads, ref_grads)):
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), i
@@ -317,6 +338,60 @@ class TestLstm:
         assert out.shape == (3, len(MASK), H) and not out.data.any()
         out.sum().backward()
         assert all(not t.grad.any() for t in tensors)
+
+
+def ragged_mask(lengths, width):
+    return (np.arange(width) < np.asarray(lengths)[:, None]).astype(np.float64)
+
+
+@st.composite
+def lstm_cases(draw):
+    """Random ragged prefix masks, B 1-9, T 1-12, K 1-3; a third of the
+    rows are CLS-only or full-length, and some masks are all PAD."""
+    batch = draw(st.integers(1, 9))
+    width = draw(st.integers(1, 12))
+    row = st.one_of(st.integers(0, width), st.sampled_from([1, width]))
+    lengths = draw(st.one_of(st.lists(row, min_size=batch, max_size=batch),
+                             st.just([0] * batch)))
+    return ragged_mask(lengths, width), draw(st.integers(1, 3)), draw(st.integers(0, 2**32))
+
+
+class TestPacked:
+    @settings(max_examples=60, deadline=None)
+    @given(lstm_cases())
+    def test_lstm_matches_reference_on_ragged_masks(self, case):
+        mask, k, seed = case
+        rng = np.random.default_rng(seed)
+        batch, width = mask.shape
+        arrays = [rng.normal(size=(batch, width, D))] + [
+            a for _ in range(k) for a in (rng.normal(size=(D, 4 * H)) * 0.5,
+                                          rng.normal(size=4 * H) * 0.5,
+                                          rng.normal(size=(H, 4 * H)) * 0.5,
+                                          rng.normal(size=4 * H) * 0.5)]
+        weights = rng.normal(size=(k, batch, H))
+        out, grads = multi_grads(arrays, mask, weights, reference=False)
+        ref_out, ref_grads = multi_grads(arrays, mask, weights, reference=True)
+        assert np.abs(out - ref_out).max() <= 1e-15
+        for i, (g, ref) in enumerate(zip(grads, ref_grads)):
+            ref = np.zeros_like(g) if ref is None else ref     # an all-PAD mask builds no graph
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), i
+
+    @pytest.mark.parametrize("mask", [
+        [[1, 0, 1, 0]],                 # a real token after PAD
+        [[0, 1, 1, 1]],
+        [[1, 1, 0.5, 0]],               # not 0/1
+        [[1, 1, 2, 0]],
+    ])
+    def test_mask_must_be_real_tokens_then_pad(self, mask):
+        with pytest.raises(ValueError, match="real tokens followed by 0s for PAD"):
+            prefix_lengths(np.array(mask))
+        x = Tensor(RNG.normal(size=(1, 4, D)))
+        with pytest.raises(ValueError, match="real tokens followed by 0s for PAD"):
+            lstm(x, np.array(mask), [[Tensor(a) for a in random_inputs(0)[1:]]])
+
+    def test_prefix_lengths(self):
+        assert prefix_lengths(ragged_mask([0, 3, 1, 4], 4)).tolist() == [0, 3, 1, 4]
+        assert prefix_lengths(np.array([[True, False]])).tolist() == [1]
 
 
 class TestNoGrad:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +66,43 @@ class TestDispatch:
         ])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.mark.parametrize("module", ["offlang", "offlang.cli"])
+def test_python_m_runs_the_cli(module):
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and run.stdout.startswith("usage: offlang")
+    run = subprocess.run([sys.executable, "-m", module], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2 and "usage: offlang" in run.stderr
+
+
+# ROADMAP item 5's probes; each must end in one error line and exit code 1
+BAD_CONFIGS = {
+    "unknown_key": ({"train": {"lr": 1}}, "unknown: ['lr']"),
+    "string_for_int": ({"encoder": {"d_model": "64"}}, 'd_model must be an integer, not "64"'),
+    "float_for_int": ({"train": {"batch_size": 1e9}}, "batch_size must be an integer"),
+    "top_level_list": ([{"train": {}}], "must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_is_one_error_line(tmp_path, capsys, case):
+    config, message = BAD_CONFIGS[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = dispatch(["train", "--config", str(path),
+                     "--train", write_labeled(tmp_path, "train.tsv", 8, seed=1),
+                     "--val", write_labeled(tmp_path, "val.tsv", 4, seed=2),
+                     "--out", str(tmp_path / "m.ckpt")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 def checkpoint_meta(**overrides):
@@ -134,6 +175,26 @@ class TestTrainEvaluate:
                 preds.read_bytes(),
             ))
         assert outputs[0] == outputs[1]
+
+    def test_ensemble_of_members_with_different_max_len(self, tmp_path, capsys):
+        train_tsv = write_labeled(tmp_path, "train.tsv", 24, seed=1)
+        val_tsv = write_labeled(tmp_path, "val.tsv", 12, seed=2)
+        ckpts = []
+        for max_len in (8, 16):
+            ckpt = tmp_path / f"len{max_len}.ckpt"
+            assert dispatch(["train", "--config",
+                             write_config(tmp_path, encoder={"max_len": max_len},
+                                          train={"max_epochs": 1}),
+                             "--train", train_tsv, "--val", val_tsv,
+                             "--out", str(ckpt)]) == 0
+            ckpts.append(str(ckpt))
+        outputs = []
+        for members in (ckpts, ckpts[::-1]):
+            out = tmp_path / "preds.tsv"
+            assert dispatch(["ensemble", "--models", ",".join(members),
+                             "--data", val_tsv, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 12
 
     def test_config_echoed(self, tmp_path, capsys):
         config = write_config(tmp_path)

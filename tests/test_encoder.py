@@ -1,7 +1,64 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from offlang.encoder import EncoderConfig, encode, init_encoder
+from offlang.autodiff import Tensor, dropout, rows
+from offlang.encoder import MASK_NEG, EncoderConfig, _layer_norm, encode, init_encoder
+
+
+def reference_attention(x, params, prefix, config, attn_bias, rng):
+    B, T, D = x.shape
+    H = config.n_heads
+    dh = D // H
+
+    def heads(name):
+        proj = x @ params[f"{prefix}.{name}.w"] + params[f"{prefix}.{name}.b"]
+        return proj.reshape(B, T, H, dh).transpose(0, 2, 1, 3)  # (B,H,T,dh)
+
+    q, k, v = heads("q"), heads("k"), heads("v")
+    scores = q @ k.transpose(0, 1, 3, 2) * (1.0 / np.sqrt(dh))
+    scores = scores + Tensor(attn_bias)
+    weights = dropout(scores.softmax(), config.dropout_rate, rng)
+    ctx = (weights @ v).transpose(0, 2, 1, 3).reshape(B, T, D)
+    return ctx @ params[f"{prefix}.o.w"] + params[f"{prefix}.o.b"]
+
+
+def reference_encode(params, config, ids, mask, rng=None):
+    """The padded encoder that `encode` replaced: every position of the
+    (B, T) batch runs through every layer, and PAD keys are masked."""
+    ids = np.asarray(ids, dtype=np.int64)
+    mask = np.asarray(mask, dtype=np.float64)
+    B, T = ids.shape
+    x = rows(params["tok_emb"], ids) + params["pos_emb"][:T]
+    x = dropout(x, config.dropout_rate, rng)
+    attn_bias = (1.0 - mask)[:, None, None, :] * MASK_NEG  # (B,1,1,T)
+    for layer in range(config.n_layers):
+        p = f"layer{layer}"
+        attn = reference_attention(x, params, f"{p}.attn", config, attn_bias, rng)
+        x = _layer_norm(x + dropout(attn, config.dropout_rate, rng),
+                        params[f"{p}.ln1.gamma"], params[f"{p}.ln1.beta"])
+        hidden = (x @ params[f"{p}.ffn.in.w"] + params[f"{p}.ffn.in.b"]).gelu()
+        ffn = hidden @ params[f"{p}.ffn.out.w"] + params[f"{p}.ffn.out.b"]
+        x = _layer_norm(x + dropout(ffn, config.dropout_rate, rng),
+                        params[f"{p}.ln2.gamma"], params[f"{p}.ln2.beta"])
+    return x
+
+
+def assert_grads_close(grads, ref_grads):
+    """Every gradient within 1e-12 of the reference's, relative to the
+    reference's largest entry. A parameter the reference leaves without a
+    gradient may get zeros."""
+    for name, ref in ref_grads.items():
+        grad = grads[name]
+        if ref is None or grad is None:
+            assert ref is None or not ref.any(), name
+            assert grad is None or not grad.any(), name
+        elif name.endswith("attn.k.b"):
+            # softmax ignores a shift shared by all keys, so the key bias
+            # gradient is 0 up to rounding: bound both absolutely
+            assert max(np.abs(grad).max(), np.abs(ref).max()) <= 1e-14, name
+        else:
+            assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
 
 def tiny_config(**overrides):
@@ -99,6 +156,28 @@ class TestForward:
             out = encode(params, cfg, *pad_batch(tokens, cfg.max_len))
             assert np.isfinite(out.data).all()
 
+    def test_ids_wider_than_max_len(self):
+        cfg = tiny_config(max_len=8)
+        params = init_encoder(cfg, seed=0)
+        ids, mask = pad_batch([2, 3], 9)
+        with pytest.raises(ValueError, match="9 positions wide.*max_len is 8"):
+            encode(params, cfg, ids, mask)
+
+    @pytest.mark.parametrize("row", [[1, 0, 1, 0], [0, 1, 1, 0], [1, 2, 0, 0]])
+    def test_mask_must_be_real_tokens_then_pad(self, row):
+        cfg = tiny_config()
+        params = init_encoder(cfg, seed=0)
+        with pytest.raises(ValueError, match="real tokens followed by 0s for PAD"):
+            encode(params, cfg, np.array([[2, 3, 4, 0]]), np.array([row]))
+
+    def test_pad_positions_are_zero(self):
+        cfg = tiny_config(dropout_rate=0.3)
+        params = init_encoder(cfg, seed=0)
+        ids = np.array([[2, 3, 4, 0, 0], [2, 0, 0, 0, 0]])
+        out = encode(params, cfg, ids, ids != 0, rng=np.random.default_rng(1)).data
+        assert not out[0, 3:].any() and not out[1, 1:].any()
+        assert np.abs(out[0, :3]).min() > 0 and np.abs(out[1, 0]).min() > 0
+
     def test_dropout_training_mode_differs(self):
         cfg = tiny_config(dropout_rate=0.5)
         params = init_encoder(cfg, seed=4)
@@ -106,3 +185,44 @@ class TestForward:
         a = encode(params, cfg, ids, mask, rng=np.random.default_rng(0))
         b = encode(params, cfg, ids, mask, rng=np.random.default_rng(99))
         assert not np.array_equal(a.data, b.data)
+
+
+@st.composite
+def ragged_batches(draw):
+    """ids and a prefix mask: B 1-6, T 1-10; rows of every length from 0
+    (all PAD) to T, CLS first."""
+    batch = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 10))
+    lengths = np.array(draw(st.lists(st.integers(0, width), min_size=batch, max_size=batch)))
+    mask = np.arange(width) < lengths[:, None]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    ids = np.where(mask, rng.integers(3, 11, (batch, width)), 0)
+    ids[:, 0] = np.where(lengths > 0, 2, 0)
+    return ids, mask.astype(np.int64), draw(st.integers(0, 2**32))
+
+
+class TestPackedMatchesPadded:
+    @settings(max_examples=40, deadline=None)
+    @given(ragged_batches(), st.sampled_from([0.0, 0.3]))
+    def test_real_positions_and_gradients(self, case, rate):
+        """Same parameters and the same dropout stream: the real positions
+        of the output and every parameter gradient match the padded
+        encoder; only summation order differs."""
+        ids, mask, seed = case
+        cfg = tiny_config(max_len=10, dropout_rate=rate)
+        weights = np.random.default_rng(seed).normal(size=ids.shape + (cfg.d_model,))
+        weights *= mask[:, :, None]
+        results = []
+        for fn in (encode, reference_encode):
+            params = init_encoder(cfg, seed=7)
+            rng = np.random.default_rng(seed) if rate else None
+            out = fn(params, cfg, ids, mask, rng)
+            (out * Tensor(weights)).sum().backward()
+            results.append((out.data, rng.random() if rng else None,
+                            {n: t.grad for n, t in params.items()}))
+        (out, after, grads), (ref, ref_after, ref_grads) = results
+        real = mask.astype(bool)
+        assert np.abs(out[real] - ref[real]).max(initial=0.0) <= 1e-13
+        assert not out[~real].any()
+        assert after == ref_after                     # the stream advanced alike
+        assert_grads_close(grads, ref_grads)

@@ -7,10 +7,13 @@ from offlang.autodiff import Tensor, no_grad
 from offlang.checkpoint import load_checkpoint, save_checkpoint
 from offlang.corpus import NormContext
 from offlang.encoder import EncoderConfig
+from offlang.evaluation import evaluate
 from offlang.mtl import (
+    TASKS,
     HeadConfig,
     LossWeights,
     MtlModel,
+    PredictionTriple,
     batch_targets,
     mtl_loss,
     predict,
@@ -19,6 +22,9 @@ from offlang.synth import make_hierarchical_corpus
 from offlang.textnorm import bundled_emoji_table, bundled_unigram_table
 from offlang.tokenizer import build_vocab, encode_batch
 from offlang.training import TrainConfig, train
+
+from test_autodiff import reference_lstm
+from test_encoder import assert_grads_close, reference_encode
 
 
 def weighted_total(l_a: float, l_b: float, l_c: float, weights: LossWeights) -> float:
@@ -89,6 +95,80 @@ class TestForward:
         model.params["head_b.out.b"].data += 7.5
         after = [p.label_b for p in model.forward_mtl(ids, mask)]
         assert before == after
+
+
+class TestPredictionTriple:
+    def test_lookups_match_properties(self):
+        rng = np.random.default_rng(3)
+        triple = PredictionTriple(*(rng.dirichlet(np.ones(n)) for n in (2, 3, 4)))
+        for task in TASKS:
+            assert triple.label(task) == getattr(triple, f"label_{task}")
+            assert triple.probs(task) is getattr(triple, f"probs_{task}")
+        with pytest.raises(KeyError):
+            triple.probs("d")
+
+
+def reference_logits(model, ids, mask, rng):
+    """`logits_mtl` on the padded encoder and the per-step reference LSTM."""
+    p = model.params
+    emb = reference_encode(p, model.encoder_config, ids, mask, rng)
+    return {
+        task: reference_lstm(emb, mask, *(p[f"head_{task}.lstm.{k}"]
+                                           for k in ("x.w", "x.b", "h.w", "h.b")))
+        @ p[f"head_{task}.out.w"] + p[f"head_{task}.out.b"]
+        for task in TASKS
+    }
+
+
+class TestPackedMatchesPadded:
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_logits_and_gradients(self, rate):
+        """Ragged batch with a CLS-only and a full-length row: packed logits
+        and every parameter gradient match the padded reference within
+        1e-12 relative, with dropout drawn from the same stream."""
+        examples = make_hierarchical_corpus(9, seed=5)
+        vocab = build_vocab([e.tweet.text for e in examples])
+        texts = [e.tweet.text for e in examples] + ["", " ".join(["word"] * 20)]
+        ids, mask = encode_batch(texts, vocab, 12)
+        assert mask.sum(axis=1).min() == 1 and mask.sum(axis=1).max() == 12
+        targets, real = batch_targets(examples + examples[:2])
+        cfg = EncoderConfig(d_model=16, n_layers=2, n_heads=2, d_ffn=32, max_len=12,
+                            vocab_size=len(vocab), dropout_rate=rate)
+        results = []
+        for forward in (MtlModel.logits_mtl, reference_logits):
+            model = MtlModel(cfg, HeadConfig(hidden=8), seed=3)
+            logits = forward(model, ids, mask, np.random.default_rng(11) if rate else None)
+            total, _, _ = mtl_loss(logits, targets, LossWeights(), real)
+            total.backward()
+            results.append(({t: logits[t].data for t in TASKS},
+                            {n: t.grad for n, t in model.params.items()}))
+        (logits, grads), (ref_logits, ref_grads) = results
+        for task in TASKS:
+            ref = ref_logits[task]
+            assert np.abs(logits[task] - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert_grads_close(grads, ref_grads)
+
+    def test_long_max_len_on_short_tweets(self):
+        """Memory and time follow the tweets, not max_len: at max_len 4096
+        a padded (B, H, T, T) attention would need about 10 GB here. With
+        the first 64 positional embeddings shared, the labels equal those
+        at max_len 64."""
+        examples = make_hierarchical_corpus(40, seed=8)
+        vocab = build_vocab([e.tweet.text for e in examples])
+        short = tiny_model(len(vocab), seed=2, max_len=64)
+        long = tiny_model(len(vocab), seed=2, max_len=4096)
+        for name, tensor in short.params.items():
+            if name == "pos_emb":
+                long.params[name].data[:64] = tensor.data
+            else:
+                long.params[name].data = tensor.data
+        assert evaluate(long, vocab, examples).to_lines() == \
+            evaluate(short, vocab, examples).to_lines()
+        texts = [e.tweet.text for e in examples]
+        labels = [[[p.label(t) for t in TASKS] for p in model.forward_mtl(
+            *encode_batch(texts, vocab, model.encoder_config.max_len))]
+            for model in (short, long)]
+        assert labels[0] == labels[1]
 
 
 class TestLoss:
