@@ -8,6 +8,7 @@ also writes the fully-resolved config next to them.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import typing
@@ -16,37 +17,32 @@ from . import checkpoint, corpus, evaluation, mtl, textnorm, tokenizer, training
 from .encoder import EncoderConfig
 
 
-DEFAULT_CONFIG = {
-    "encoder": {
-        "d_model": 64,
-        "n_layers": 2,
-        "n_heads": 2,
-        "d_ffn": 128,
-        "max_len": 64,
-        "dropout_rate": 0.1,
-    },
-    "head": {"hidden": 64},
-    "train": {
-        "learning_rate": 1e-3,
-        "batch_size": 32,
-        "max_epochs": 20,
-        "patience": 3,
-        "loss_weights": [0.4, 0.3, 0.3],
-        "seed": 0,
-        "use_dropout": True,
-    },
-    "vocab": {"min_freq": 1, "max_size": None},
-}
+def _encoder_section(config: EncoderConfig) -> dict:
+    """`config` as the config file's encoder section: every field but
+    vocab_size, which the vocabulary sets."""
+    section = config.to_dict()
+    del section["vocab_size"]
+    return section
 
 
-# each section's keys and their types; the encoder's vocab_size comes from
-# the vocabulary
+# each section's defaults, read from the dataclass or function it configures;
+# the JSON round trip makes them JSON values (lists, not tuples)
+DEFAULT_CONFIG = json.loads(json.dumps({
+    "encoder": _encoder_section(EncoderConfig()),
+    "head": mtl.HeadConfig().to_dict(),
+    "train": training.TrainConfig().to_dict(),
+    "vocab": {name: p.default
+              for name, p in inspect.signature(tokenizer.build_vocab).parameters.items()
+              if p.default is not p.empty},
+}))
+
+
+# each section's keys and their types, from the same owners
 CONFIG_FIELDS = {
-    "encoder": {name: hint for name, hint in typing.get_type_hints(EncoderConfig).items()
-                if name != "vocab_size"},
-    "head": typing.get_type_hints(mtl.HeadConfig),
-    "train": typing.get_type_hints(training.TrainConfig),
-    "vocab": {"min_freq": int, "max_size": int | None},
+    section: {name: typing.get_type_hints(owner)[name] for name in DEFAULT_CONFIG[section]}
+    for section, owner in (("encoder", EncoderConfig), ("head", mtl.HeadConfig),
+                           ("train", training.TrainConfig),
+                           ("vocab", tokenizer.build_vocab))
 }
 
 
@@ -128,17 +124,12 @@ def cmd_train(args) -> int:
     if args.init_from:
         model, vocab, _ = checkpoint.load_checkpoint(args.init_from)
         # echo the architecture that is trained, not the config's
-        encoder = model.encoder_config.to_dict()
-        del encoder["vocab_size"]        # set by the vocabulary, as in DEFAULT_CONFIG
-        config["encoder"] = encoder
+        config["encoder"] = _encoder_section(model.encoder_config)
         config["head"] = model.head_config.to_dict()
         print(f"vocabulary and architecture from {args.init_from}")
     else:
-        vocab = tokenizer.build_vocab(
-            [ex.tweet.text for ex in train_examples],
-            min_freq=config["vocab"]["min_freq"],
-            max_size=config["vocab"]["max_size"],
-        )
+        vocab = tokenizer.build_vocab([ex.tweet.text for ex in train_examples],
+                                      **config["vocab"])
         model = _build_model(config, len(vocab), train_cfg.seed)
     model, history = training.train(model, vocab, train_examples, val_examples,
                                     train_cfg)
@@ -154,11 +145,7 @@ def cmd_pretrain(args) -> int:
     config = load_config(args.config)
     context = _norm_context(args)
     scored = corpus.load_scored(args.scored, context)
-    vocab = tokenizer.build_vocab(
-        [ex.tweet.text for ex in scored],
-        min_freq=config["vocab"]["min_freq"],
-        max_size=config["vocab"]["max_size"],
-    )
+    vocab = tokenizer.build_vocab([ex.tweet.text for ex in scored], **config["vocab"])
     train_cfg = _train_config(config)
     model = _build_model(config, len(vocab), train_cfg.seed)
     model, epoch_mse = training.pretrain_regression(model, vocab, scored, train_cfg)
@@ -213,7 +200,7 @@ def cmd_ensemble(args) -> int:
     ]
     _write_lines(args.out, lines)
     golds = [ex.labels.a.value for ex in examples]
-    f1 = evaluation.macro_f1(golds, [t[0] for t in triples], ["OFF", "NOT"])
+    f1 = evaluation.macro_f1(golds, [t[0] for t in triples], mtl.TASK_CLASSES["a"])
     print(f"ensemble of {len(paths)}: macro_f1_a={f1:.6f}")
     return 0
 

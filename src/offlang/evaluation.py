@@ -6,6 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tokenizer
+from .corpus import binarize
+from .mtl import TASK_CLASSES, TASKS
+
 
 @dataclass(frozen=True)
 class ClassScores:
@@ -89,17 +93,15 @@ def macro_f1(golds, preds, classes) -> float:
 
 def evaluate(model, vocab, examples) -> EvalReport:
     """Batched prediction then per-task macro-F1 over a labeled corpus."""
-    from .mtl import TASK_CLASSES
-    from .tokenizer import encode_batch
-
     if not examples:
         raise ValueError("cannot evaluate an empty corpus")
-    ids, mask = encode_batch(
+    # looked up at call time, so a wrapper installed on it also covers evaluate
+    ids, mask = tokenizer.encode_batch(
         [ex.tweet.text for ex in examples], vocab, model.encoder_config.max_len
     )
     preds = model.forward_mtl(ids, mask)
     tasks = {}
-    for task in ("a", "b", "c"):
+    for task in TASKS:
         golds = [getattr(ex.labels, task).value for ex in examples]
         tasks[task] = task_report(
             golds, [p.label(task) for p in preds], TASK_CLASSES[task]
@@ -111,10 +113,9 @@ def majority_vote(member_predictions, task: str) -> list[str]:
     """Per-example plurality vote over ensemble members for one task.
 
     Ties are broken by the largest sum of member probabilities over the tied
-    labels, then by class-list order.
+    labels, then by class-list order. Each sum adds its terms in sorted
+    order, so the result does not depend on the order of the members.
     """
-    from .mtl import TASK_CLASSES
-
     classes = TASK_CLASSES[task]
     if not member_predictions:
         raise ValueError("need at least one ensemble member")
@@ -128,22 +129,19 @@ def majority_vote(member_predictions, task: str) -> list[str]:
     votes = (probs.argmax(axis=2)[..., None] == np.arange(len(classes))).sum(axis=0)
     tied = votes == votes.max(axis=1, keepdims=True)
     # argmax takes the first of equal sums: class-list order
-    winners = np.where(tied, probs.sum(axis=0), -np.inf).argmax(axis=1)
+    winners = np.where(tied, np.sort(probs, axis=0).sum(axis=0), -np.inf).argmax(axis=1)
     return [classes[j] for j in winners]
 
 
 def vote_triples(member_predictions) -> list[tuple[str, str, str]]:
     """Majority vote independently per task; one label triple per example."""
-    per_task = {t: majority_vote(member_predictions, t) for t in ("a", "b", "c")}
-    return list(zip(per_task["a"], per_task["b"], per_task["c"]))
+    return list(zip(*(majority_vote(member_predictions, t) for t in TASKS)))
 
 
 def threshold_search(scored, golds, grid) -> tuple[float, bool]:
     """Grid value maximizing macro-F1 of thresholded scores against gold
     task-A labels; ties go to the smallest threshold. The flag reports a
     degenerate search (constant F1 across the grid)."""
-    from .corpus import binarize
-
     if not scored or not golds:
         raise ValueError("threshold search needs non-empty data")
     if len(scored) != len(golds):
@@ -155,7 +153,7 @@ def threshold_search(scored, golds, grid) -> tuple[float, bool]:
     scores = []
     for threshold in grid:
         preds = [ex.labels.a.value for ex in binarize(scored, threshold)]
-        scores.append(macro_f1(golds, preds, ["OFF", "NOT"]))
+        scores.append(macro_f1(golds, preds, TASK_CLASSES["a"]))
     best_index = int(np.argmax(scores))  # argmax takes the first (smallest) tie
     degenerate = max(scores) - min(scores) < 1e-12
     return grid[best_index], degenerate

@@ -17,6 +17,7 @@ import numpy as np
 from .autodiff import Tensor, cross_entropy, lstm, no_grad
 from .corpus import LabeledExample, TaskLabelA, TaskLabelB, TaskLabelC
 from .encoder import EncoderConfig, encode as encoder_forward, init_encoder, linear
+from .textnorm import RawTweet
 from .tokenizer import Vocabulary, encode_batch
 
 TASKS = ("a", "b", "c")
@@ -187,8 +188,6 @@ def mtl_loss(logits: dict[str, Tensor], targets: dict[str, np.ndarray],
 def predict(model: MtlModel, vocab: Vocabulary, context, raw_text: str,
             tweet_id: str = "query") -> PredictionTriple:
     """End-to-end single-input inference: normalize, encode, forward."""
-    from .textnorm import RawTweet
-
     tweet = context.normalize(RawTweet(id=tweet_id, text=raw_text))
     ids, mask = encode_batch([tweet.text], vocab, model.encoder_config.max_len)
     return model.forward_mtl(ids, mask)[0]

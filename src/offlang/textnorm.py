@@ -246,14 +246,12 @@ def collapse_mentions(text: str) -> str:
 SUBSTITUTIONS = {"url": "http"}
 
 
-def substitute_rare(text: str, substitutions: dict[str, str]) -> str:
-    """Whole-token substitution (url -> http and friends)."""
-    if substitutions.get("url") != "http":
-        raise ValueError("substitutions must map 'url' to 'http'")
+def substitute_rare(text: str) -> str:
+    """Whole-token substitution by SUBSTITUTIONS (url -> http)."""
     tokens = text.split(" ")
-    if not any(tok in substitutions for tok in tokens):
+    if not any(tok in SUBSTITUTIONS for tok in tokens):
         return text
-    return " ".join(substitutions.get(tok, tok) for tok in tokens)
+    return " ".join(SUBSTITUTIONS.get(tok, tok) for tok in tokens)
 
 
 _HASHTAG = re.compile(r"#(\w+)")
@@ -273,5 +271,5 @@ def normalize(tweet: RawTweet, table: EmojiTable, unigrams: UnigramTable) -> Nor
     text = _HASHTAG.sub(lambda m: segmented[m.group(1)] if m.group(1) in segmented
                         else segment_hashtag(m.group(1), unigrams), text)
     text = collapse_mentions(text)
-    text = substitute_rare(text, SUBSTITUTIONS)
+    text = substitute_rare(text)
     return NormalizedTweet(id=tweet.id, text=text, steps_applied=STEP_ORDER)

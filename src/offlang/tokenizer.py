@@ -59,7 +59,8 @@ class TokenSequence:
 def build_vocab(corpus, min_freq: int = 1, max_size: int | None = None) -> Vocabulary:
     """Count whitespace tokens; keep those with frequency >= min_freq, most
     frequent first (alphabetical among ties), capped at max_size including
-    the reserved tokens."""
+    the reserved tokens. A text token spelled like a reserved name keeps
+    the reserved id."""
     if min_freq < 1:
         raise ValueError("min_freq must be >= 1")
     counts = Counter()
@@ -68,7 +69,7 @@ def build_vocab(corpus, min_freq: int = 1, max_size: int | None = None) -> Vocab
     if not counts:
         raise ValueError("empty corpus")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    tokens = [tok for tok, freq in ranked if freq >= min_freq]
+    tokens = [tok for tok, freq in ranked if freq >= min_freq and tok not in RESERVED]
     if max_size is not None:
         tokens = tokens[: max(max_size - len(RESERVED), 0)]
     mapping = {tok: i for i, tok in enumerate(RESERVED)}

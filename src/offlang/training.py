@@ -13,7 +13,7 @@ import numpy as np
 from . import evaluation
 from .autodiff import Tensor, cross_entropy, no_grad
 from .corpus import LabeledExample, ScoredExample
-from .mtl import TASK_CLASSES, LossWeights, MtlModel, batch_targets, mtl_loss
+from .mtl import TASK_CLASSES, TASKS, LossWeights, MtlModel, batch_targets, mtl_loss
 from .tokenizer import Vocabulary, encode_batch
 
 
@@ -43,17 +43,17 @@ class TrainConfig:
 class TrainHistory:
     train_loss: list[float] = field(default_factory=list)
     val_f1: dict[str, list[float]] = field(
-        default_factory=lambda: {"a": [], "b": [], "c": []}
+        default_factory=lambda: {task: [] for task in TASKS}
     )
     best_epoch: int = 0
     stopped_epoch: int = 0
 
     def to_lines(self) -> list[str]:
-        lines = ["epoch\ttrain_loss\tval_f1_a\tval_f1_b\tval_f1_c"]
+        lines = ["epoch\ttrain_loss\t" + "\t".join(f"val_f1_{t}" for t in TASKS)]
         for i, loss in enumerate(self.train_loss):
             lines.append(
                 f"{i + 1}\t{loss:.6f}\t"
-                + "\t".join(f"{self.val_f1[t][i]:.6f}" for t in ("a", "b", "c"))
+                + "\t".join(f"{self.val_f1[t][i]:.6f}" for t in TASKS)
             )
         lines.append(f"best_epoch\t{self.best_epoch}")
         lines.append(f"stopped_epoch\t{self.stopped_epoch}")
@@ -161,7 +161,7 @@ def fit(params: dict[str, Tensor], n: int, step_loss, config: TrainConfig,
             continue
 
         scores = validate()
-        for task in ("a", "b", "c"):
+        for task in TASKS:
             history.val_f1[task].append(scores[task])
         stop = stopper.update(scores["a"], epoch)
         if stopper.best_epoch == epoch:

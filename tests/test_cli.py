@@ -245,6 +245,20 @@ class TestTrainEvaluate:
         assert echoed["head"] == model.head_config.to_dict() == {"hidden": 16}
         assert vocab.token_to_id == warm_vocab.token_to_id
 
+    def test_train_on_a_tweet_spelling_a_reserved_name(self, tmp_path, capsys):
+        # normalization lowercases <PAD> to the PAD token's name
+        train_tsv = write_labeled(tmp_path, "train.tsv", 16, seed=1)
+        with open(train_tsv, "a", encoding="utf-8") as handle:
+            handle.write("pad1\t<PAD> you fool <UNK>\tOFF\tTIN\tIND\n")
+        ckpt = tmp_path / "m.ckpt"
+        assert dispatch(["train", "--config", write_config(tmp_path, train={"max_epochs": 1}),
+                         "--train", train_tsv,
+                         "--val", write_labeled(tmp_path, "val.tsv", 8, seed=2),
+                         "--out", str(ckpt)]) == 0
+        _, vocab, _ = load_checkpoint(ckpt)
+        assert [vocab.token_to_id[name] for name in ("<pad>", "<unk>", "<cls>")] == [0, 1, 2]
+        assert "fool" in vocab.token_to_id
+
     def test_predict(self, tmp_path, capsys):
         config = write_config(tmp_path)
         train_tsv = write_labeled(tmp_path, "train.tsv", 16, seed=1)

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from offlang.corpus import ScoredExample
 from offlang.evaluation import (
@@ -120,6 +121,18 @@ def brute_vote(members, i, task):
     return next(c for c in classes if c in tied and sums[c] == best)
 
 
+@st.composite
+def ensembles(draw):
+    """K <= 4 members of N <= 3 predictions, each a list of scores per task;
+    a score comes from a grid of tenths, where exact ties are common, or is
+    any float in [0, 1]."""
+    score = st.one_of(st.sampled_from([i / 10 for i in range(11)]), st.floats(0, 1))
+    prediction = st.tuples(*(st.lists(score, min_size=len(classes), max_size=len(classes))
+                             for classes in TASK_CLASSES.values()))
+    n = draw(st.integers(0, 3))
+    return draw(st.lists(st.lists(prediction, min_size=n, max_size=n), min_size=1, max_size=4))
+
+
 class TestMajorityVote:
     def test_three_of_five(self):
         members = [[_pred([0.9, 0.1])], [_pred([0.8, 0.2])], [_pred([0.4, 0.6])],
@@ -154,6 +167,22 @@ class TestMajorityVote:
         members = [[random_prediction(rng) for _ in range(10)] for _ in range(5)]
         forward = vote_triples(members)
         assert vote_triples(members[::-1]) == forward
+
+    # a 2-2 vote whose probability sums tie in exact arithmetic (2.0 each)
+    # but not in floating point, where they depend on the order of addition
+    @example([[([0.6, 0.4], [1, 0, 0], [1, 0, 0, 0])], [([0.9, 0.1], [1, 0, 0], [1, 0, 0, 0])],
+              [([0.3, 0.7], [1, 0, 0], [1, 0, 0, 0])], [([0.2, 0.8], [1, 0, 0], [1, 0, 0, 0])]])
+    @settings(max_examples=40, deadline=None)
+    @given(ensembles())
+    def test_invariant_under_every_member_permutation(self, scores):
+        members = [[PredictionTriple(*map(np.array, triple)) for triple in member]
+                   for member in scores]
+        want = {task: majority_vote(members, task) for task in TASK_CLASSES}
+        triples = vote_triples(members)
+        for order in itertools.permutations(members):
+            order = list(order)
+            assert {task: majority_vote(order, task) for task in TASK_CLASSES} == want
+            assert vote_triples(order) == triples
 
     def test_matches_brute_force_randomized(self):
         rng = np.random.default_rng(17)

@@ -1,7 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from offlang.autodiff import Tensor, no_grad
 from offlang.checkpoint import load_checkpoint, save_checkpoint
@@ -303,6 +306,43 @@ class TestCheckpoint:
             "baseline.out.b": np.ones(2)})
         with pytest.raises(ValueError, match="is not a valid checkpoint"):
             load_checkpoint(stray)
+
+
+@st.composite
+def checkpoint_cases(draw):
+    """A small model of random architecture, its vocabulary and a loss weighting."""
+    words = draw(st.lists(st.text("abcé#@", min_size=1, max_size=4), min_size=1, max_size=6))
+    vocab = build_vocab([" ".join(words)])
+    n_heads = draw(st.integers(1, 3))
+    encoder = EncoderConfig(
+        d_model=n_heads * draw(st.integers(1, 4)), n_layers=draw(st.integers(1, 2)),
+        n_heads=n_heads, d_ffn=draw(st.integers(1, 8)), max_len=draw(st.integers(2, 10)),
+        vocab_size=len(vocab), dropout_rate=draw(st.floats(0.0, 0.9)))
+    model = MtlModel(encoder, HeadConfig(hidden=draw(st.integers(1, 6))),
+                     seed=draw(st.integers(0, 2**32)))
+    w_a = draw(st.floats(0.0, 1.0))
+    w_b = draw(st.floats(0.0, 1.0 - w_a))
+    return model, vocab, LossWeights(w_a, w_b, 1.0 - w_a - w_b)
+
+
+class TestCheckpointRoundTrip:
+    @settings(max_examples=25, deadline=None)
+    @given(checkpoint_cases())
+    def test_save_then_load_gives_back_the_model(self, case):
+        model, vocab, weights = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt"
+            save_checkpoint(path, model, vocab, weights)
+            loaded, loaded_vocab, loaded_weights = load_checkpoint(path)
+        assert loaded.encoder_config == model.encoder_config
+        assert loaded.head_config == model.head_config
+        assert loaded_vocab.token_to_id == vocab.token_to_id
+        assert loaded_weights == weights
+        assert loaded.params.keys() == model.params.keys()
+        for name, tensor in model.params.items():
+            got = loaded.params[name].data
+            assert got.dtype == tensor.data.dtype and got.shape == tensor.data.shape, name
+            assert got.tobytes() == tensor.data.tobytes(), name
 
 
 def rewrite_checkpoint(src, dst, version, extra):

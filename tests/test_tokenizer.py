@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from offlang.tokenizer import (
     CLS,
     PAD,
+    RESERVED,
     UNK,
     Vocabulary,
     build_vocab,
@@ -35,6 +37,12 @@ class TestBuildVocab:
         assert vocab.token_to_id["<pad>"] == PAD
         assert vocab.token_to_id["<unk>"] == UNK
         assert vocab.token_to_id["<cls>"] == CLS
+
+    def test_reserved_names_in_text_keep_reserved_ids(self):
+        vocab = build_vocab(["<pad> a <unk> a", "<cls> b <pad>"])
+        assert vocab.token_to_id == {"<pad>": PAD, "<unk>": UNK, "<cls>": CLS,
+                                     "a": 3, "b": 4}
+        assert len(build_vocab(["<pad> a b"], max_size=4)) == 4
 
     def test_line_roundtrip(self):
         vocab = build_vocab(["a a b c"])
@@ -87,3 +95,22 @@ class TestEncode:
         vocab = build_vocab(["a"])
         with pytest.raises(ValueError):
             encode("a", vocab, max_len=1)
+
+
+WORDS = st.text("abcxyz<>", min_size=1, max_size=5).filter(lambda w: w not in RESERVED)
+
+
+class TestRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(WORDS, min_size=1, max_size=8), st.data())
+    def test_decode_inverts_encode_on_in_vocabulary_text(self, words, data):
+        """The first max_len - 1 tokens come back, whatever the spacing."""
+        vocab = build_vocab([" ".join(words)] + list(RESERVED))
+        tokens = data.draw(st.lists(st.sampled_from(words), max_size=12))
+        gaps = data.draw(st.lists(st.sampled_from([" ", "  ", "\t", "\n"]),
+                                  min_size=len(tokens), max_size=len(tokens)))
+        text = "".join(gap + tok for gap, tok in zip(gaps, tokens))
+        max_len = data.draw(st.integers(2, 16))
+        seq = encode(text, vocab, max_len)
+        assert len(seq.ids) == max_len
+        assert decode(seq, vocab) == " ".join(tokens[:max_len - 1])
