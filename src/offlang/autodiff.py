@@ -10,10 +10,11 @@ differences. Inside `no_grad()` ops build no graph, which is how inference
 runs.
 
 Padded batches carry a (B, T) mask whose rows are real tokens (1) first,
-then PAD (0); `prefix_lengths` enforces that. Execution is packed: `lstm`
-steps only the rows still running, and `gather_rows`/`scatter_rows` move
-an encoder's real tokens between a packed (N, ...) array and a padded
-layout.
+then PAD (0); `prefix_lengths` enforces that. Execution is packed: token
+activations are (N, ...) rows, one per real token in row-major order, and
+`lstm` reads them as such and steps only the rows still running.
+`scatter_rows`/`gather_rows` move rows between that packed array and a
+(B, L) scratch layout, where attention needs one.
 """
 
 from __future__ import annotations
@@ -363,31 +364,35 @@ def lstm(x: Tensor, mask: np.ndarray, heads: list) -> Tensor:
     """Final hidden states (K, B, h) of K masked one-direction LSTMs that read
     the same input, as one node.
 
-    x: (B, T, d); mask: (B, T), each row 1 for its real tokens, then 0 for
-    PAD (see `prefix_lengths`); heads: K sequences (wx, bx, wh, bh) with
-    wx: (d, 4h) and wh: (h, 4h). Gate blocks are ordered input, forget,
-    cell, output. Execution is packed, as in PyTorch's pack_padded_sequence:
-    the rows are sorted by length, longest first, so the rows still running
-    at step t are a prefix of that order, and one time loop steps only that
-    prefix, for every head at once. A row's state is left as it was after
-    its last real token, and a row without one keeps the zero state. The
-    backward is hand-written BPTT over the same prefixes. Buffers hold one
-    entry per real (row, step) pair, time-major.
+    mask: (B, T), each row 1 for its real tokens, then 0 for PAD (see
+    `prefix_lengths`); x: (N, d), one row per real token of `mask` in
+    row-major order, so row b's tokens are contiguous; heads: K sequences
+    (wx, bx, wh, bh) with wx: (d, 4h) and wh: (h, 4h). Gate blocks are
+    ordered input, forget, cell, output. Execution is packed, as in
+    PyTorch's pack_padded_sequence: the rows are sorted by length, longest
+    first, so the rows still running at step t are a prefix of that order,
+    and one time loop steps only that prefix, for every head at once. A
+    row's state is left as it was after its last real token, and a row
+    without one keeps the zero state. The backward is hand-written BPTT
+    over the same prefixes. Buffers hold one entry per real (row, step)
+    pair, time-major; each entry reads its token's row of x, and dx is
+    written back through the same permutation.
     """
     K = len(heads)
-    B, T, d = x.shape
     h = heads[0][2].shape[0]
-    if np.shape(mask) != (B, T):
-        raise ValueError("mask must have the batch and length of x")
     lengths = prefix_lengths(mask)
+    B, n = len(lengths), int(lengths.sum())
+    if x.data.ndim != 2 or len(x.data) != n:
+        raise ValueError(f"x must hold one row per real token of the mask ({n}), "
+                         f"not shape {x.shape}")
     steps = int(lengths.max(initial=0))
     order = np.argsort(-lengths, kind="stable")
     sizes = np.count_nonzero(lengths[:, None] > np.arange(steps), axis=0)   # live rows per step
     starts = np.concatenate(([0], np.cumsum(sizes)))    # step t: entries starts[t]:starts[t + 1]
-    n = int(starts[-1])
     step_of = np.repeat(np.arange(steps), sizes)
     row_of = order[np.arange(n) - starts[step_of]]
-    x_packed = x.data[row_of, step_of]            # (n, d)
+    token_of = np.cumsum(lengths)[row_of] - lengths[row_of] + step_of   # its row of x
+    x_packed = x.data[token_of]                   # (n, d), time-major
     wh_all = np.stack([wh.data for _, _, wh, _ in heads])       # (K, h, 4h)
     bh_all = np.stack([bh.data for _, _, _, bh in heads])[:, None]    # (K, 1, 4h)
 
@@ -445,11 +450,11 @@ def lstm(x: Tensor, mask: np.ndarray, heads: list) -> Tensor:
             dh[:, :live] = dxg[:, lo:hi] @ wh_t
 
         if x.requires_grad:
-            dx_packed = np.zeros((n, d))
+            dx_packed = np.zeros_like(x_packed)
             for k, (wx, _, _, _) in enumerate(heads):
                 dx_packed += dxg[k] @ wx.data.T
-            dx = np.zeros_like(x.data)
-            dx[row_of, step_of] = dx_packed
+            dx = np.empty_like(dx_packed)
+            dx[token_of] = dx_packed              # a permutation: every row is written
             x._accumulate(dx)
         for k, (wx, bx, wh, bh) in enumerate(heads):
             if wx.requires_grad:
@@ -465,20 +470,13 @@ def lstm(x: Tensor, mask: np.ndarray, heads: list) -> Tensor:
     return Tensor._result(out_data, parents, backward)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
-            draw_shape: tuple | None = None, pick=None) -> Tensor:
-    """Inverted dropout. `rng=None` or rate 0 means evaluation mode (identity).
-
-    The keep mask is drawn at `draw_shape` (default: x's shape) and `pick`
-    maps it to x's shape. A packed or trimmed `x` thus gets the mask entries
-    its positions have in the padded layout, and the random stream advances
-    as it would there.
-    """
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout with a keep mask drawn at x's shape, one entry per
+    element: on packed token rows that is one draw per real token and
+    feature. `rng=None` or rate 0 means evaluation mode (identity)."""
     if rng is None or rate <= 0.0:
         return x
-    keep = rng.random(draw_shape or x.data.shape) >= rate
-    if pick is not None:
-        keep = pick(keep)
+    keep = rng.random(x.data.shape) >= rate
     return x * Tensor(keep.astype(np.float64) / (1.0 - rate))
 
 

@@ -222,7 +222,7 @@ def cmd_gradcheck(args) -> int:
 
     examples = make_hierarchical_corpus(args.batch, seed=config["train"]["seed"])
     weights = mtl.LossWeights(*config["train"]["loss_weights"])
-    vocab = tokenizer.build_vocab([ex.tweet.text for ex in examples])
+    vocab = tokenizer.build_vocab([ex.tweet.text for ex in examples], **config["vocab"])
     model = _build_model(config, len(vocab), config["train"]["seed"])
     error = training.check_gradients(model, examples, vocab, weights,
                                      epsilon=args.epsilon)

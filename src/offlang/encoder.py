@@ -2,8 +2,9 @@
 
 Post-layernorm blocks, learned positional embeddings, GELU feed-forward,
 CLS-first inputs. Desk-scale by default; all math in float64 through the
-autodiff core so gradients are exact. Execution is packed: the
-position-wise layers run on the batch's real tokens only (see `encode`).
+autodiff core so gradients are exact. Execution is packed: every layer
+runs on the batch's real tokens only, and the output is those packed
+token rows (see `encode`).
 """
 
 from __future__ import annotations
@@ -90,11 +91,11 @@ def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 def _attention(x: Tensor, params: dict[str, Tensor], prefix: str,
                config: EncoderConfig, layout: tuple[int, int], slots: np.ndarray,
-               attn_bias: np.ndarray, drop_weights) -> Tensor:
+               attn_bias: np.ndarray, rng: np.random.Generator | None) -> Tensor:
     """Self-attention over packed tokens x (N, d). Q, K and V are projected
     per token, then laid out as (B, L) at `slots` for the scores; each
     token's context is read back from its slot before the output
-    projection."""
+    projection. Dropout on the (B, H, L, L) weights draws from `rng`."""
     B, L = layout
     D = x.shape[1]
     H = config.n_heads
@@ -108,7 +109,7 @@ def _attention(x: Tensor, params: dict[str, Tensor], prefix: str,
     q, k, v = heads("q"), heads("k"), heads("v")
     scores = q @ k.transpose(0, 1, 3, 2) * (1.0 / np.sqrt(dh))
     scores = scores + Tensor(attn_bias)
-    weights = drop_weights(scores.softmax())
+    weights = dropout(scores.softmax(), config.dropout_rate, rng)
     ctx = (weights @ v).transpose(0, 2, 1, 3).reshape(B * L, D)
     return gather_rows(ctx, slots) @ params[f"{prefix}.o.w"] + params[f"{prefix}.o.b"]
 
@@ -116,18 +117,18 @@ def _attention(x: Tensor, params: dict[str, Tensor], prefix: str,
 def encode(params: dict[str, Tensor], config: EncoderConfig,
            ids: np.ndarray, mask: np.ndarray,
            rng: np.random.Generator | None = None) -> Tensor:
-    """Contextual embeddings (B, T, d_model) for ids (B, T), T <= max_len.
+    """Contextual embeddings (N, d_model) of the N real tokens of ids (B, T),
+    T <= max_len, in row-major order: row b's tokens are contiguous, CLS
+    first. This is the layout `autodiff.lstm` reads.
 
     Each mask row is 1 for the row's real tokens, then 0 for PAD (see
-    `autodiff.prefix_lengths`). Execution is packed: the real tokens are
-    gathered into one (N, d_model) array, on which the embeddings, the
-    Q/K/V/O and feed-forward projections, GELU, layer norm, residuals and
-    dropout run. Only the attention scores use a (B, L) layout, where L is
-    the longest row, and PAD keys get zero weight. PAD positions of the
-    output are zero. `rng` turns dropout on (training); None is
-    deterministic evaluation. Each dropout mask is drawn at its padded
-    (B, T, ...) shape and then gathered, so masks and the random stream
-    do not depend on the packing.
+    `autodiff.prefix_lengths`). The embeddings, the Q/K/V/O and
+    feed-forward projections, GELU, layer norm, residuals and dropout all
+    run on the packed rows. Only the attention scores use a (B, L) layout,
+    where L is the longest row, and PAD keys get zero weight. `rng` turns
+    dropout on (training); None is deterministic evaluation. Each dropout
+    mask is drawn at the shape it masks: (N, d_model) for token layers and
+    (B, H, L, L) for attention weights.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2 or ids.shape[1] == 0:
@@ -142,7 +143,7 @@ def encode(params: dict[str, Tensor], config: EncoderConfig,
         raise ValueError("token id out of vocabulary range")
     lengths = prefix_lengths(mask)
 
-    D, H, rate = config.d_model, config.n_heads, config.dropout_rate
+    rate = config.dropout_rate
     L = max(int(lengths.max(initial=0)), 1)
     real = np.arange(T) < lengths[:, None]
     tokens = np.flatnonzero(real)                 # row-major (b, t)
@@ -150,22 +151,15 @@ def encode(params: dict[str, Tensor], config: EncoderConfig,
     slots = row * L + pos                         # each token's place in (B, L)
     attn_bias = (1.0 - real[:, :L])[:, None, None, :] * MASK_NEG    # (B,1,1,L)
 
-    def drop_tokens(x):
-        return dropout(x, rate, rng, (B, T, D), lambda keep: keep.reshape(B * T, D)[tokens])
-
-    def drop_weights(w):
-        return dropout(w, rate, rng, (B, H, T, T), lambda keep: keep[:, :, :L, :L])
-
     x = rows(params["tok_emb"], ids.reshape(-1)[tokens]) + rows(params["pos_emb"], pos)
-    x = drop_tokens(x)
+    x = dropout(x, rate, rng)
     for layer in range(config.n_layers):
         p = f"layer{layer}"
-        attn = _attention(x, params, f"{p}.attn", config, (B, L), slots, attn_bias,
-                          drop_weights)
-        x = _layer_norm(x + drop_tokens(attn),
+        attn = _attention(x, params, f"{p}.attn", config, (B, L), slots, attn_bias, rng)
+        x = _layer_norm(x + dropout(attn, rate, rng),
                         params[f"{p}.ln1.gamma"], params[f"{p}.ln1.beta"])
         hidden = (x @ params[f"{p}.ffn.in.w"] + params[f"{p}.ffn.in.b"]).gelu()
         ffn = hidden @ params[f"{p}.ffn.out.w"] + params[f"{p}.ffn.out.b"]
-        x = _layer_norm(x + drop_tokens(ffn),
+        x = _layer_norm(x + dropout(ffn, rate, rng),
                         params[f"{p}.ln2.gamma"], params[f"{p}.ln2.beta"])
-    return scatter_rows(x, tokens, B * T).reshape(B, T, D)
+    return x

@@ -1,11 +1,13 @@
 """Multi-task model: shared encoder, three LSTM task heads, weighted loss.
 
-Each head runs a unidirectional LSTM over the unmasked embedding sequence
-and projects its final hidden state to class logits. The three heads run
-as one fused recurrence, a single `autodiff.lstm` node. NULL is an
-ordinary class for heads B and C. Inference (`forward_mtl`) builds no
-autodiff graph. The single-task baseline is not part of the model:
-`training.train_baseline` trains a throwaway CLS head on its encoder.
+Each head runs a unidirectional LSTM over a tweet's real tokens and
+projects its final hidden state to class logits. The encoder hands the
+heads its packed (N, d) token rows, with no padded layout in between, and
+the three heads run on them as one fused recurrence, a single
+`autodiff.lstm` node. NULL is an ordinary class for heads B and C.
+Inference (`forward_mtl`) builds no autodiff graph. The single-task
+baseline is not part of the model: `training.train_baseline` trains a
+throwaway CLS head on its encoder.
 """
 
 from __future__ import annotations

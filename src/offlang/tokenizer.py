@@ -59,8 +59,8 @@ class TokenSequence:
 def build_vocab(corpus, min_freq: int = 1, max_size: int | None = None) -> Vocabulary:
     """Count whitespace tokens; keep those with frequency >= min_freq, most
     frequent first (alphabetical among ties), capped at max_size including
-    the reserved tokens. A text token spelled like a reserved name keeps
-    the reserved id."""
+    the reserved tokens. A text token spelled like a reserved name gets no
+    entry of its own, and `encode` maps it to UNK."""
     if min_freq < 1:
         raise ValueError("min_freq must be >= 1")
     counts = Counter()
@@ -79,12 +79,15 @@ def build_vocab(corpus, min_freq: int = 1, max_size: int | None = None) -> Vocab
 
 
 def encode(text: str, vocab: Vocabulary, max_len: int = 64) -> TokenSequence:
-    """CLS + token ids (UNK for misses), truncated to max_len, PAD-filled."""
+    """CLS + token ids, truncated to max_len, PAD-filled. A token missing
+    from the vocabulary, or spelled like a reserved name, is UNK, so PAD
+    and CLS mark only padding and the sequence start."""
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
     ids = [CLS]
     for tok in text.split():
-        ids.append(vocab.token_to_id.get(tok, UNK))
+        i = vocab.token_to_id.get(tok, UNK)
+        ids.append(i if i >= len(RESERVED) else UNK)
     ids = ids[:max_len]
     mask = [1] * len(ids) + [0] * (max_len - len(ids))
     ids = ids + [PAD] * (max_len - len(ids))

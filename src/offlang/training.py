@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import evaluation
-from .autodiff import Tensor, cross_entropy, no_grad
+from .autodiff import Tensor, cross_entropy, gather_rows, no_grad, prefix_lengths
 from .corpus import LabeledExample, ScoredExample
 from .mtl import TASK_CLASSES, TASKS, LossWeights, MtlModel, batch_targets, mtl_loss
 from .tokenizer import Vocabulary, encode_batch
@@ -200,14 +200,17 @@ def train(model: MtlModel, vocab: Vocabulary,
 
 
 def _cls_head(model: MtlModel, rng: np.random.Generator, n_out: int):
-    """A throwaway linear head on the CLS embedding, its weights drawn from
-    `rng`: its logits function, and the model's parameters plus the head's."""
+    """A throwaway linear head on the CLS embedding, each row's first packed
+    token, its weights drawn from `rng`: its logits function, and the
+    model's parameters plus the head's."""
     d = model.encoder_config.d_model
     head_w = Tensor(rng.uniform(-1, 1, (d, n_out)) / np.sqrt(d), requires_grad=True)
     head_b = Tensor(np.zeros(n_out), requires_grad=True)
 
     def logits(ids, mask, drop_rng=None):
-        return model.encode(ids, mask, drop_rng)[:, 0, :] @ head_w + head_b
+        lengths = prefix_lengths(mask)
+        cls = gather_rows(model.encode(ids, mask, drop_rng), np.cumsum(lengths) - lengths)
+        return cls @ head_w + head_b
 
     return logits, {**model.params, "cls_head.w": head_w, "cls_head.b": head_b}
 

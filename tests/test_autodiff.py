@@ -179,12 +179,6 @@ class TestMachinery:
         x = Tensor(RNG.normal(size=(5, 5)))
         assert dropout(x, 0.5, None) is x
 
-    def test_dropout_picks_from_the_mask_of_the_drawn_shape(self):
-        x = Tensor(np.ones((3, 2)))
-        picked = dropout(x, 0.5, np.random.default_rng(4), (4, 2), lambda keep: keep[1:])
-        full = dropout(Tensor(np.ones((4, 2))), 0.5, np.random.default_rng(4))
-        assert np.array_equal(picked.data, full.data[1:])
-
     def test_dropout_preserves_expectation(self):
         rng = np.random.default_rng(0)
         x = Tensor(np.ones((200, 200)))
@@ -194,7 +188,8 @@ class TestMachinery:
 
 def reference_lstm(x: Tensor, mask: np.ndarray, wx: Tensor, bx: Tensor,
                    wh: Tensor, bh: Tensor) -> Tensor:
-    """Per-step reference for `lstm`: about 20 Tensor ops per time step."""
+    """Per-step reference for `lstm` on padded input x (B, T, d): about 20
+    Tensor ops per time step."""
     B, T, _ = x.shape
     h = wh.shape[0]
     h_t = Tensor(np.zeros((B, h)))
@@ -230,11 +225,25 @@ MASK = np.array([
 ])
 
 
-def random_inputs(seed, batch=len(MASK)):
+def random_inputs(seed, mask=MASK):
+    """Packed x, the real positions of a padded (B, T, D) draw, then one
+    head's weights."""
     rng = np.random.default_rng(seed)
-    return [rng.normal(size=(batch, T, D)), rng.normal(size=(D, 4 * H)) * 0.5,
+    x = rng.normal(size=np.shape(mask) + (D,))[np.asarray(mask, dtype=bool)]
+    return [x, rng.normal(size=(D, 4 * H)) * 0.5,
             rng.normal(size=4 * H) * 0.5, rng.normal(size=(H, 4 * H)) * 0.5,
             rng.normal(size=4 * H) * 0.5]
+
+
+def padded(x: Tensor, mask: np.ndarray) -> Tensor:
+    """Packed rows x (N, d) laid out as (B, T, d), zero at PAD."""
+    B, width = np.shape(mask)
+    return scatter_rows(x, np.flatnonzero(mask), B * width).reshape(B, width, x.shape[1])
+
+
+def reference_packed(x, mask, wx, bx, wh, bh):
+    """`reference_lstm` on packed input: its gradients land on the real rows."""
+    return reference_lstm(padded(x, mask), mask, wx, bx, wh, bh)
 
 
 def lstm_one(x, mask, wx, bx, wh, bh):
@@ -249,17 +258,17 @@ def grads_of(op, arrays, mask, weights):
     return out.data, [t.grad for t in tensors]
 
 
-def multi_inputs(seed, k=3):
-    """x plus k distinct (wx, bx, wh, bh) sets, flat."""
+def multi_inputs(seed, k=3, mask=MASK):
+    """Packed x plus k distinct (wx, bx, wh, bh) sets, flat."""
     heads = [random_inputs(seed + 10 * i)[1:] for i in range(k)]
-    return [random_inputs(seed)[0]] + [a for head in heads for a in head]
+    return [random_inputs(seed, mask)[0]] + [a for head in heads for a in head]
 
 
 def multi_grads(arrays, mask, weights, reference):
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     x, ws = tensors[0], tensors[1:]
     if reference:
-        outs = [reference_lstm(x, mask, *ws[i:i + 4]) for i in range(0, len(ws), 4)]
+        outs = [reference_packed(x, mask, *ws[i:i + 4]) for i in range(0, len(ws), 4)]
         loss = sum(((o * Tensor(w)).sum() for o, w in zip(outs, weights)), Tensor(0.0))
         out = np.stack([o.data for o in outs])
     else:
@@ -277,24 +286,22 @@ class TestLstm:
         arrays = random_inputs(seed)
         weights = np.random.default_rng(seed + 100).normal(size=(len(MASK), H))
         out, grads = grads_of(lstm_one, arrays, MASK, weights)
-        ref_out, ref_grads = grads_of(reference_lstm, arrays, MASK, weights)
+        ref_out, ref_grads = grads_of(reference_packed, arrays, MASK, weights)
         # packed steps run fewer rows, so a one-row step may take numpy's
         # matrix-vector path; |h| < 1, so the tolerance is absolute
         assert np.abs(out - ref_out).max() <= 1e-15
         for name, g, ref in zip(("x", "wx", "bx", "wh", "bh"), grads, ref_grads):
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), name
-        # nothing reaches the all-PAD tail column
-        assert not grads[0][:, -1].any()
 
     def test_single_row_matches_reference(self):
         # the reference's (1, d) @ (d, 4h) takes numpy's matrix-vector path
         # and the fused (1, steps, d) @ (d, 4h) does not, so the last bits of
         # the state may differ; |h| < 1, so the tolerance is absolute
-        arrays = random_inputs(3, batch=1)
         mask = np.array([[1, 1, 1, 0, 0, 0, 0]])
+        arrays = random_inputs(3, mask)
         weights = np.ones((1, H))
         out, grads = grads_of(lstm_one, arrays, mask, weights)
-        ref_out, ref_grads = grads_of(reference_lstm, arrays, mask, weights)
+        ref_out, ref_grads = grads_of(reference_packed, arrays, mask, weights)
         assert np.abs(out - ref_out).max() <= 1e-15
         for g, ref in zip(grads, ref_grads):
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -306,8 +313,9 @@ class TestLstm:
               (lstm_one(x, MASK, wx, bx, wh, bh) * Tensor(weights)).sum(), *arrays)
 
     def test_all_pad_first_column_gives_zero_state(self):
-        tensors = [Tensor(a, requires_grad=True) for a in random_inputs(6)]
-        out = lstm_one(tensors[0], np.zeros((len(MASK), T)), *tensors[1:])
+        mask = np.zeros((len(MASK), T))
+        tensors = [Tensor(a, requires_grad=True) for a in random_inputs(6, mask)]
+        out = lstm_one(tensors[0], mask, *tensors[1:])
         assert out.shape == (len(MASK), H) and not out.data.any()
         out.sum().backward()
         assert all(not t.grad.any() for t in tensors)
@@ -323,7 +331,6 @@ class TestLstm:
         assert len(grads) == 13
         for i, (g, ref) in enumerate(zip(grads, ref_grads)):
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), i
-        assert not grads[0][:, -1].any()
 
     def test_three_heads_finite_differences(self):
         arrays = multi_inputs(7)
@@ -332,9 +339,10 @@ class TestLstm:
                               * Tensor(weights)).sum(), *arrays)
 
     def test_three_heads_all_pad_first_column_gives_zero_state(self):
-        tensors = [Tensor(a, requires_grad=True) for a in multi_inputs(9)]
+        mask = np.zeros((len(MASK), T))
+        tensors = [Tensor(a, requires_grad=True) for a in multi_inputs(9, mask=mask)]
         ws = tensors[1:]
-        out = lstm(tensors[0], np.zeros((len(MASK), T)), [ws[0:4], ws[4:8], ws[8:12]])
+        out = lstm(tensors[0], mask, [ws[0:4], ws[4:8], ws[8:12]])
         assert out.shape == (3, len(MASK), H) and not out.data.any()
         out.sum().backward()
         assert all(not t.grad.any() for t in tensors)
@@ -363,7 +371,7 @@ class TestPacked:
         mask, k, seed = case
         rng = np.random.default_rng(seed)
         batch, width = mask.shape
-        arrays = [rng.normal(size=(batch, width, D))] + [
+        arrays = [rng.normal(size=(int(mask.sum()), D))] + [
             a for _ in range(k) for a in (rng.normal(size=(D, 4 * H)) * 0.5,
                                           rng.normal(size=4 * H) * 0.5,
                                           rng.normal(size=(H, 4 * H)) * 0.5,
@@ -373,8 +381,9 @@ class TestPacked:
         ref_out, ref_grads = multi_grads(arrays, mask, weights, reference=True)
         assert np.abs(out - ref_out).max() <= 1e-15
         for i, (g, ref) in enumerate(zip(grads, ref_grads)):
-            ref = np.zeros_like(g) if ref is None else ref     # an all-PAD mask builds no graph
-            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), i
+            # an all-PAD mask builds no graph and packs x to zero rows
+            ref = np.zeros_like(g) if ref is None else ref
+            assert np.abs(g - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0), i
 
     @pytest.mark.parametrize("mask", [
         [[1, 0, 1, 0]],                 # a real token after PAD
@@ -385,9 +394,15 @@ class TestPacked:
     def test_mask_must_be_real_tokens_then_pad(self, mask):
         with pytest.raises(ValueError, match="real tokens followed by 0s for PAD"):
             prefix_lengths(np.array(mask))
-        x = Tensor(RNG.normal(size=(1, 4, D)))
+        x = Tensor(RNG.normal(size=(2, D)))
         with pytest.raises(ValueError, match="real tokens followed by 0s for PAD"):
             lstm(x, np.array(mask), [[Tensor(a) for a in random_inputs(0)[1:]]])
+
+    @pytest.mark.parametrize("shape", [(int(MASK.sum()) - 1, D), (int(MASK.sum()) + 1, D),
+                                       (len(MASK), T, D), (int(MASK.sum()),)])
+    def test_x_must_hold_one_row_per_real_token(self, shape):
+        with pytest.raises(ValueError, match="one row per real token"):
+            lstm(Tensor(np.zeros(shape)), MASK, [[Tensor(a) for a in random_inputs(0)[1:]]])
 
     def test_prefix_lengths(self):
         assert prefix_lengths(ragged_mask([0, 3, 1, 4], 4)).tolist() == [0, 3, 1, 4]
@@ -399,7 +414,7 @@ class TestNoGrad:
         x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
         with no_grad():
             y = (x @ x.transpose(1, 0)).tanh().sum()
-            h = lstm(Tensor(RNG.normal(size=(2, T, D)), requires_grad=True), MASK[:2],
+            h = lstm(Tensor(random_inputs(0, MASK[:2])[0], requires_grad=True), MASK[:2],
                      [[Tensor(a, requires_grad=True) for a in random_inputs(0)[1:]]])
         for out in (y, h):
             assert out._backward is None and out._parents == () and not out.requires_grad

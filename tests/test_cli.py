@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from offlang import training
 from offlang.checkpoint import FORMAT_VERSION, load_checkpoint
-from offlang.cli import dispatch
+from offlang.cli import GRADCHECK_CONFIG, dispatch
 from offlang.corpus import save_labeled
 from offlang.encoder import EncoderConfig
 from offlang.mtl import HeadConfig
@@ -321,3 +322,17 @@ class TestGradcheck:
         assert dispatch(["gradcheck", "--batch", "2"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "max_relative_error" in out
+
+    def test_config_vocab_section_is_used(self, tmp_path, capsys, monkeypatch):
+        """`max_size` caps the vocabulary, so the embedding table and the
+        parameter count shrink, as they do for `train` and `pretrain`. The
+        finite differences themselves are skipped."""
+        monkeypatch.setattr(training, "check_gradients", lambda *args, **kwargs: 0.0)
+        counts = []
+        for vocab in ({}, {"max_size": 4}):
+            config = tmp_path / f"config{len(counts)}.json"
+            config.write_text(json.dumps({**GRADCHECK_CONFIG, "vocab": vocab}), encoding="utf-8")
+            assert dispatch(["gradcheck", "--batch", "2", "--config", str(config)]) == 0
+            counts.append(int(capsys.readouterr().out.split()[0].removeprefix("params=")))
+        d_model = GRADCHECK_CONFIG["encoder"]["d_model"]
+        assert counts[0] - counts[1] >= d_model      # at least one embedding row fewer

@@ -2,11 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from offlang.autodiff import Tensor, dropout, rows
+from offlang.autodiff import Tensor, rows
 from offlang.encoder import MASK_NEG, EncoderConfig, _layer_norm, encode, init_encoder
 
 
-def reference_attention(x, params, prefix, config, attn_bias, rng):
+def placed_dropout(x, rate, rng, where):
+    """`dropout` on padded x with the mask `encode` draws: drawn from `rng` at
+    the shape of x[where], the entries `encode` holds, and placed there.
+    Every other entry is kept unscaled."""
+    if rng is None or rate <= 0.0:
+        return x
+    scale = np.ones(x.shape)
+    scale[where] = (rng.random(scale[where].shape) >= rate) / (1.0 - rate)
+    return x * Tensor(scale)
+
+
+def reference_attention(x, params, prefix, config, attn_bias, rng, longest):
     B, T, D = x.shape
     H = config.n_heads
     dh = D // H
@@ -18,28 +29,36 @@ def reference_attention(x, params, prefix, config, attn_bias, rng):
     q, k, v = heads("q"), heads("k"), heads("v")
     scores = q @ k.transpose(0, 1, 3, 2) * (1.0 / np.sqrt(dh))
     scores = scores + Tensor(attn_bias)
-    weights = dropout(scores.softmax(), config.dropout_rate, rng)
+    weights = placed_dropout(scores.softmax(), config.dropout_rate, rng,
+                             np.s_[:, :, :longest, :longest])
     ctx = (weights @ v).transpose(0, 2, 1, 3).reshape(B, T, D)
     return ctx @ params[f"{prefix}.o.w"] + params[f"{prefix}.o.b"]
 
 
 def reference_encode(params, config, ids, mask, rng=None):
     """The padded encoder that `encode` replaced: every position of the
-    (B, T) batch runs through every layer, and PAD keys are masked."""
+    (B, T) batch runs through every layer, PAD keys are masked, and the
+    output is (B, T, d). Its real positions are `encode`'s rows. Dropout
+    masks come from `rng` in `encode`'s order and at its shapes, (N, d) for
+    token layers and (B, H, L, L) for attention weights, placed at their
+    real positions."""
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask, dtype=np.float64)
     B, T = ids.shape
+    real = mask.astype(bool)
+    longest = max(int(real.sum(axis=1).max(initial=0)), 1)
+    rate = config.dropout_rate
     x = rows(params["tok_emb"], ids) + params["pos_emb"][:T]
-    x = dropout(x, config.dropout_rate, rng)
+    x = placed_dropout(x, rate, rng, real)
     attn_bias = (1.0 - mask)[:, None, None, :] * MASK_NEG  # (B,1,1,T)
     for layer in range(config.n_layers):
         p = f"layer{layer}"
-        attn = reference_attention(x, params, f"{p}.attn", config, attn_bias, rng)
-        x = _layer_norm(x + dropout(attn, config.dropout_rate, rng),
+        attn = reference_attention(x, params, f"{p}.attn", config, attn_bias, rng, longest)
+        x = _layer_norm(x + placed_dropout(attn, rate, rng, real),
                         params[f"{p}.ln1.gamma"], params[f"{p}.ln1.beta"])
         hidden = (x @ params[f"{p}.ffn.in.w"] + params[f"{p}.ffn.in.b"]).gelu()
         ffn = hidden @ params[f"{p}.ffn.out.w"] + params[f"{p}.ffn.out.b"]
-        x = _layer_norm(x + dropout(ffn, config.dropout_rate, rng),
+        x = _layer_norm(x + placed_dropout(ffn, rate, rng, real),
                         params[f"{p}.ln2.gamma"], params[f"{p}.ln2.beta"])
     return x
 
@@ -107,7 +126,7 @@ class TestForward:
         mask = (ids != 0).astype(np.int64)
         mask[:, 0] = 1
         out = encode(params, cfg, ids, mask)
-        assert out.shape == (2, 8, 16)
+        assert out.shape == (5, 16)       # one row per real token
 
     def test_padding_invariance(self):
         # same 5 real tokens padded to 8 vs 16: identical real-position outputs
@@ -116,9 +135,7 @@ class TestForward:
         tokens = [2, 4, 7, 3, 9]
         short = encode(params, cfg, *pad_batch(tokens, 8))
         long = encode(params, cfg, *pad_batch(tokens, 16))
-        np.testing.assert_allclose(
-            short.data[0, :5], long.data[0, :5], atol=1e-10
-        )
+        np.testing.assert_allclose(short.data, long.data, atol=1e-10)
 
     def test_deterministic_without_dropout(self):
         cfg = tiny_config()
@@ -170,14 +187,6 @@ class TestForward:
         with pytest.raises(ValueError, match="real tokens followed by 0s for PAD"):
             encode(params, cfg, np.array([[2, 3, 4, 0]]), np.array([row]))
 
-    def test_pad_positions_are_zero(self):
-        cfg = tiny_config(dropout_rate=0.3)
-        params = init_encoder(cfg, seed=0)
-        ids = np.array([[2, 3, 4, 0, 0], [2, 0, 0, 0, 0]])
-        out = encode(params, cfg, ids, ids != 0, rng=np.random.default_rng(1)).data
-        assert not out[0, 3:].any() and not out[1, 1:].any()
-        assert np.abs(out[0, :3]).min() > 0 and np.abs(out[1, 0]).min() > 0
-
     def test_dropout_training_mode_differs(self):
         cfg = tiny_config(dropout_rate=0.5)
         params = init_encoder(cfg, seed=4)
@@ -205,24 +214,24 @@ class TestPackedMatchesPadded:
     @settings(max_examples=40, deadline=None)
     @given(ragged_batches(), st.sampled_from([0.0, 0.3]))
     def test_real_positions_and_gradients(self, case, rate):
-        """Same parameters and the same dropout stream: the real positions
-        of the output and every parameter gradient match the padded
-        encoder; only summation order differs."""
+        """Same parameters and the same dropout stream: the packed output
+        matches the padded encoder's real positions, and every parameter
+        gradient matches; only summation order differs."""
         ids, mask, seed = case
         cfg = tiny_config(max_len=10, dropout_rate=rate)
+        real = mask.astype(bool)
         weights = np.random.default_rng(seed).normal(size=ids.shape + (cfg.d_model,))
         weights *= mask[:, :, None]
         results = []
-        for fn in (encode, reference_encode):
+        for fn, w in ((encode, weights[real]), (reference_encode, weights)):
             params = init_encoder(cfg, seed=7)
             rng = np.random.default_rng(seed) if rate else None
             out = fn(params, cfg, ids, mask, rng)
-            (out * Tensor(weights)).sum().backward()
+            (out * Tensor(w)).sum().backward()
             results.append((out.data, rng.random() if rng else None,
                             {n: t.grad for n, t in params.items()}))
         (out, after, grads), (ref, ref_after, ref_grads) = results
-        real = mask.astype(bool)
-        assert np.abs(out[real] - ref[real]).max(initial=0.0) <= 1e-13
-        assert not out[~real].any()
+        assert out.shape == (real.sum(), cfg.d_model)
+        assert np.abs(out - ref[real]).max(initial=0.0) <= 1e-13
         assert after == ref_after                     # the stream advanced alike
         assert_grads_close(grads, ref_grads)

@@ -2,6 +2,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from offlang import textnorm
 from offlang.textnorm import (
@@ -15,6 +16,16 @@ from offlang.textnorm import (
     normalize,
     segment_hashtag,
     substitute_rare,
+)
+
+
+# fragments of decorated tweets: mentions, URLs, hashtags, emoji (known,
+# unknown and joiners), whitespace, and short runs of mixed characters
+TWEET_PIECES = st.one_of(
+    st.sampled_from(["URL", "url", "@USER", "@user", "#", "#MAGA", "#JokeOfTheDay",
+                     "#a1", "\U0001F44D", "\U0001F602", "\u2764", "\u200d", "\ufe0f",
+                     " ", "  ", "\t", "\n", "A", "b", "_", "x1"]),
+    st.text(alphabet="aBc#@_ 1\U0001F600\u00e9", max_size=4),
 )
 
 
@@ -64,6 +75,26 @@ class TestNormalize:
         once = normalize(RawTweet(id="1", text=text), emoji, unigrams)
         twice = normalize(RawTweet(id="1", text=once.text), emoji, unigrams)
         assert twice.text == once.text
+
+    @settings(max_examples=50, deadline=None)
+    @given(text=st.lists(TWEET_PIECES, max_size=10).map("".join)
+           .filter(lambda text: "##" not in text))
+    def test_idempotent_on_generated_tweets(self, text, emoji, unigrams):
+        """Normalizing normalized text changes nothing. The one kind of
+        counterexample is a `#` directly before a hashtag, which the first
+        pass leaves as a new hashtag: '##a' -> '#a' -> 'a' and '##URL' ->
+        '#url' -> 'http'. Texts holding '##' are therefore left out, and
+        `test_hash_before_a_hashtag_is_not_idempotent` pins that case."""
+        once = normalize(RawTweet(id="1", text=text), emoji, unigrams)
+        twice = normalize(RawTweet(id="1", text=once.text), emoji, unigrams)
+        assert twice.text == once.text
+
+    def test_hash_before_a_hashtag_is_not_idempotent(self, emoji, unigrams):
+        def norm(text):
+            return normalize(RawTweet(id="1", text=text), emoji, unigrams).text
+
+        assert [norm("##a"), norm("#a")] == ["#a", "a"]
+        assert [norm("##URL"), norm("#url")] == ["#url", "http"]
 
     def test_empty_id_rejected(self):
         with pytest.raises(ValueError):

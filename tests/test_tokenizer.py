@@ -44,6 +44,15 @@ class TestBuildVocab:
                                      "a": 3, "b": 4}
         assert len(build_vocab(["<pad> a b"], max_size=4)) == 4
 
+    def test_reserved_names_in_text_encode_as_unk(self):
+        """PAD and CLS ids mark only padding and the sequence start: a text
+        token spelled like a reserved name is UNK at a real position."""
+        vocab = build_vocab(["<pad> a <cls> b"])
+        seq = encode("<pad> a <cls> b <unk>", vocab, 8)
+        assert seq.ids.tolist() == [CLS, UNK, 3, UNK, 4, UNK, PAD, PAD]
+        assert seq.attention_mask.tolist() == [1, 1, 1, 1, 1, 1, 0, 0]
+        assert decode(seq, vocab) == "<unk> a <unk> b <unk>"
+
     def test_line_roundtrip(self):
         vocab = build_vocab(["a a b c"])
         assert Vocabulary.from_lines(vocab.to_lines()).token_to_id == vocab.token_to_id

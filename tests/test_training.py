@@ -12,10 +12,13 @@ from offlang.training import (
     TrainConfig,
     check_gradients,
     pretrain_regression,
+    _cls_head,
     train,
     train_baseline,
 )
 from offlang.tokenizer import build_vocab, encode_batch
+
+from test_encoder import assert_grads_close, reference_encode
 
 
 def tiny_model(vocab_size, seed=0, max_len=12):
@@ -175,6 +178,38 @@ class TestPretrainRegression:
         _, vocab = small_setup(n=4)
         with pytest.raises(ValueError):
             pretrain_regression(tiny_model(len(vocab)), vocab, [], TrainConfig())
+
+
+class TestClsHead:
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_matches_padded_reference(self, rate):
+        """Ragged batch with a CLS-only and a full-length row: the head reads
+        each row's first packed token, so its logits and every gradient
+        match a head on `reference_encode(...)[:, 0, :]` within 1e-12
+        relative, with dropout drawn from the same stream."""
+        examples = make_hierarchical_corpus(6, seed=9)
+        vocab = build_vocab([e.tweet.text for e in examples])
+        texts = [e.tweet.text for e in examples] + ["", " ".join(["word"] * 20)]
+        ids, mask = encode_batch(texts, vocab, 12)
+        assert mask.sum(axis=1).min() == 1 and mask.sum(axis=1).max() == 12
+        cfg = EncoderConfig(d_model=16, n_layers=2, n_heads=2, d_ffn=32, max_len=12,
+                            vocab_size=len(vocab), dropout_rate=rate)
+        weights = np.random.default_rng(0).normal(size=(len(texts), 3))
+        results = []
+        for reference in (False, True):
+            model = MtlModel(cfg, HeadConfig(hidden=8), seed=3)
+            logits, trainable = _cls_head(model, np.random.default_rng(4), 3)
+            drop_rng = np.random.default_rng(11) if rate else None
+            if reference:
+                cls = reference_encode(model.params, cfg, ids, mask, drop_rng)[:, 0, :]
+                out = cls @ trainable["cls_head.w"] + trainable["cls_head.b"]
+            else:
+                out = logits(ids, mask, drop_rng)
+            (out * Tensor(weights)).sum().backward()
+            results.append((out.data, {n: t.grad for n, t in trainable.items()}))
+        (out, grads), (ref, ref_grads) = results
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert_grads_close(grads, ref_grads)
 
 
 @pytest.mark.parametrize("entry", [train, train_baseline, pretrain_regression],
