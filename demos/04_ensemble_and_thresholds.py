@@ -3,6 +3,8 @@
 Trains five models that differ only in their random seed, combines their
 predictions by majority vote, then shows how the threshold that turns
 crowd confidence scores into OFF/NOT labels is picked by grid search.
+Each member's predictions are one `forward_mtl` batch: per-task (N, C)
+probability arrays, voted on per task without splitting them into rows.
 """
 
 import numpy as np
@@ -29,9 +31,9 @@ for seed in range(5):
                          patience=4, seed=seed, use_dropout=False)
     model, _ = train(MtlModel(encoder, HeadConfig(hidden=32), seed=seed),
                      vocab, train_ex, val_ex, config)
-    preds = model.forward_mtl(ids, mask)
+    preds = model.forward_mtl(ids, mask)  # (N, C) probabilities per task
     members.append(preds)
-    solo = macro_f1(golds, [p.label_a for p in preds], ["OFF", "NOT"])
+    solo = macro_f1(golds, preds.label("a"), ["OFF", "NOT"])
     print(f"member seed={seed}: macro-F1(A) = {solo:.4f}")
 
 voted = majority_vote(members, "a")

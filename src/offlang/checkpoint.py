@@ -98,7 +98,9 @@ def load_checkpoint(path) -> tuple[MtlModel, Vocabulary, LossWeights]:
     """Read a checkpoint written by `save_checkpoint`.
 
     A missing or unreadable file raises OSError. Any other file that is not
-    a valid checkpoint raises one ValueError that names the path.
+    a valid checkpoint raises one ValueError that names the path: among
+    them a file whose parameters hold NaN or infinity, or whose vocabulary
+    has more entries than the encoder's embedding table has rows.
     """
     if not zipfile.is_zipfile(path):
         with open(path, "rb"):  # a missing or unreadable file raises OSError here
@@ -122,7 +124,13 @@ def load_checkpoint(path) -> tuple[MtlModel, Vocabulary, LossWeights]:
         model = MtlModel(_config(EncoderConfig, meta["encoder"]),
                          _config(HeadConfig, meta["head"]), seed=0)
         model.load_state_arrays(arrays)
+        for name, tensor in model.params.items():
+            if not np.isfinite(tensor.data).all():
+                raise ValueError(f"parameter {name} holds a non-finite value")
         vocab = Vocabulary.from_lines(meta["vocab"])
+        if len(vocab) > model.encoder_config.vocab_size:
+            raise ValueError(f"the vocabulary has {len(vocab)} entries, more than the "
+                             f"encoder's vocab_size {model.encoder_config.vocab_size}")
         weights = LossWeights(*meta["loss_weights"])
     except KeyError as err:
         raise ValueError(f"{path} is not a valid checkpoint: no metadata key {err}") from err

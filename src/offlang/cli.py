@@ -172,7 +172,7 @@ def cmd_predict(args) -> int:
     model, vocab, _ = checkpoint.load_checkpoint(args.model)
     context = _norm_context(args)
     pred = mtl.predict(model, vocab, context, args.text)
-    print(f"{pred.label_a}\t{pred.label_b}\t{pred.label_c}")
+    print("\t".join(pred.label(task) for task in mtl.TASKS))
     return 0
 
 
@@ -187,6 +187,8 @@ def cmd_ensemble(args) -> int:
         if vocab is None:
             vocab = member_vocab
             examples = corpus.load_labeled(args.data, context)
+            if not examples:
+                raise ValueError("cannot evaluate an empty corpus")
         elif member_vocab.token_to_id != vocab.token_to_id:
             raise ValueError("ensemble members must share one vocabulary")
         # each member reads the data at its own max_len

@@ -1,8 +1,13 @@
-"""Macro-F1 evaluation, majority-vote ensembling, and threshold search."""
+"""Macro-F1 evaluation, majority-vote ensembling, and threshold search.
+
+Evaluation and voting work per task over a whole batch: each reads the
+(N, C) probability arrays of `forward_mtl`'s batch PredictionTriple and
+takes one argmax per task, with no per-example objects in between.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,32 +105,30 @@ def evaluate(model, vocab, examples) -> EvalReport:
         [ex.tweet.text for ex in examples], vocab, model.encoder_config.max_len
     )
     preds = model.forward_mtl(ids, mask)
-    tasks = {}
-    for task in TASKS:
-        golds = [getattr(ex.labels, task).value for ex in examples]
-        tasks[task] = task_report(
-            golds, [p.label(task) for p in preds], TASK_CLASSES[task]
-        )
+    tasks = {
+        task: task_report([getattr(ex.labels, task).value for ex in examples],
+                          preds.label(task), TASK_CLASSES[task])
+        for task in TASKS
+    }
     return EvalReport(tasks=tasks)
 
 
 def majority_vote(member_predictions, task: str) -> list[str]:
     """Per-example plurality vote over ensemble members for one task.
 
-    Ties are broken by the largest sum of member probabilities over the tied
-    labels, then by class-list order. Each sum adds its terms in sorted
-    order, so the result does not depend on the order of the members.
+    Each member is one batch PredictionTriple from `forward_mtl` over the
+    same N examples. Ties are broken by the largest sum of member
+    probabilities over the tied labels, then by class-list order. Each sum
+    adds its terms in sorted order, so the result does not depend on the
+    order of the members.
     """
     classes = TASK_CLASSES[task]
     if not member_predictions:
         raise ValueError("need at least one ensemble member")
-    lengths = {len(m) for m in member_predictions}
-    if len(lengths) != 1:
+    if len({len(m) for m in member_predictions}) != 1:
         raise ValueError("ensemble members predicted different example counts")
 
-    # (K, N, C) member probabilities; reshape keeps C when N is 0
-    probs = np.array([[p.probs(task) for p in member] for member in member_predictions])
-    probs = probs.reshape(len(member_predictions), lengths.pop(), len(classes))
+    probs = np.stack([member.probs(task) for member in member_predictions])  # (K, N, C)
     votes = (probs.argmax(axis=2)[..., None] == np.arange(len(classes))).sum(axis=0)
     tied = votes == votes.max(axis=1, keepdims=True)
     # argmax takes the first of equal sums: class-list order

@@ -5,7 +5,9 @@ projects its final hidden state to class logits. The encoder hands the
 heads its packed (N, d) token rows, with no padded layout in between, and
 the three heads run on them as one fused recurrence, a single
 `autodiff.lstm` node. NULL is an ordinary class for heads B and C.
-Inference (`forward_mtl`) builds no autodiff graph. The single-task
+Inference (`forward_mtl`) builds no autodiff graph and returns each task's
+(N, C) probabilities in one PredictionTriple; indexing it gives a row,
+which is what `predict` returns. The single-task
 baseline is not part of the model: `training.train_baseline` trains a
 throwaway CLS head on its encoder.
 """
@@ -56,24 +58,31 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class PredictionTriple:
+    """Softmax probabilities for the three tasks.
+
+    `forward_mtl` returns a batch: each `probs_<task>` is an (N, C) array.
+    `len(batch)` is N, and `batch[i]` (or iterating) gives row i as a
+    PredictionTriple of (C,) views into the batch's arrays.
+    """
+
     probs_a: np.ndarray
     probs_b: np.ndarray
     probs_c: np.ndarray
 
-    @property
-    def label_a(self) -> str:
-        return self.label("a")
+    def __len__(self) -> int:
+        if self.probs_a.ndim != 2:
+            raise TypeError("a single prediction row has no length")
+        return len(self.probs_a)
 
-    @property
-    def label_b(self) -> str:
-        return self.label("b")
+    def __getitem__(self, i: int) -> PredictionTriple:
+        i = range(len(self))[i]  # a bad index raises IndexError, ending iteration
+        return PredictionTriple(self.probs_a[i], self.probs_b[i], self.probs_c[i])
 
-    @property
-    def label_c(self) -> str:
-        return self.label("c")
-
-    def label(self, task: str) -> str:
-        return TASK_CLASSES[task][int(np.argmax(self.probs(task)))]
+    def label(self, task: str) -> str | list[str]:
+        """The most probable class: a string for a row, one per row for a batch."""
+        index = self.probs(task).argmax(axis=-1)
+        classes = TASK_CLASSES[task]
+        return classes[index] if index.ndim == 0 else [classes[j] for j in index]
 
     def probs(self, task: str) -> np.ndarray:
         if task not in TASK_CLASSES:
@@ -121,14 +130,11 @@ class MtlModel:
             for k, task in enumerate(TASKS)
         }
 
-    def forward_mtl(self, ids, mask) -> list[PredictionTriple]:
+    def forward_mtl(self, ids, mask) -> PredictionTriple:
+        """Per-task (N, C) softmax probabilities, as one batch PredictionTriple."""
         with no_grad():
             logits = self.logits_mtl(ids, mask)
-            probs = {task: logits[task].softmax().data for task in TASKS}
-        return [
-            PredictionTriple(probs["a"][i], probs["b"][i], probs["c"][i])
-            for i in range(len(probs["a"]))
-        ]
+            return PredictionTriple(*(logits[task].softmax().data for task in TASKS))
 
     # -- parameter plumbing ----------------------------------------------------
 
@@ -187,9 +193,8 @@ def mtl_loss(logits: dict[str, Tensor], targets: dict[str, np.ndarray],
     return total, per_task, empty
 
 
-def predict(model: MtlModel, vocab: Vocabulary, context, raw_text: str,
-            tweet_id: str = "query") -> PredictionTriple:
-    """End-to-end single-input inference: normalize, encode, forward."""
-    tweet = context.normalize(RawTweet(id=tweet_id, text=raw_text))
+def predict(model: MtlModel, vocab: Vocabulary, context, raw_text: str) -> PredictionTriple:
+    """End-to-end single-input inference: normalize, encode, forward; one row."""
+    tweet = context.normalize(RawTweet(id="query", text=raw_text))
     ids, mask = encode_batch([tweet.text], vocab, model.encoder_config.max_len)
     return model.forward_mtl(ids, mask)[0]

@@ -57,6 +57,7 @@ from offlang.training import (
 )
 from offlang.mtl import mtl_loss
 
+from test_evaluation import batch_of
 from test_segmentation import brute_force_segment
 
 
@@ -277,7 +278,7 @@ def test_08_ensemble_oracle():
     for trial in range(1000):
         k = [1, 3, 5, 7][trial % 4] if trial % 2 else int(rng.choice([2, 4, 6]))
         n = int(rng.integers(1, 4))
-        members = [[random_prediction(rng) for _ in range(n)] for _ in range(k)]
+        members = [batch_of([random_prediction(rng) for _ in range(n)]) for _ in range(k)]
         for task in ("a", "b", "c"):
             got = majority_vote(members, task)
             want = [brute(members, i, task) for i in range(n)]

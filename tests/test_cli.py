@@ -197,6 +197,21 @@ class TestTrainEvaluate:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 12
 
+    def test_header_only_tsv_is_an_empty_corpus(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        assert dispatch(["train", "--config", write_config(tmp_path, train={"max_epochs": 1}),
+                         "--train", write_labeled(tmp_path, "train.tsv", 16, seed=1),
+                         "--val", write_labeled(tmp_path, "val.tsv", 8, seed=2),
+                         "--out", str(ckpt)]) == 0
+        empty = tmp_path / "empty.tsv"
+        save_labeled(empty, [])
+        capsys.readouterr()
+        for command in (["evaluate", "--report", str(tmp_path / "report.txt")],
+                        ["ensemble", "--out", str(tmp_path / "preds.tsv")]):
+            flag = "--models" if command[0] == "ensemble" else "--model"
+            assert dispatch(command + [flag, str(ckpt), "--data", str(empty)]) == 1
+            assert capsys.readouterr().err == "error: cannot evaluate an empty corpus\n"
+
     def test_config_echoed(self, tmp_path, capsys):
         config = write_config(tmp_path)
         train_tsv = write_labeled(tmp_path, "train.tsv", 16, seed=1)

@@ -108,6 +108,18 @@ def random_prediction(rng):
     return PredictionTriple(probs(2), probs(3), probs(4))
 
 
+def batch_of(rows):
+    """One batch PredictionTriple, as `forward_mtl` returns, holding the
+    row triples `rows` in order; with no rows each task's array is (0, C)."""
+    return PredictionTriple(*(
+        np.array([row.probs(task) for row in rows]).reshape(len(rows), len(classes))
+        for task, classes in TASK_CLASSES.items()))
+
+
+def members_of(*rows_per_member):
+    return [batch_of(rows) for rows in rows_per_member]
+
+
 def brute_vote(members, i, task):
     classes = TASK_CLASSES[task]
     labels = [m[i].label(task) for m in members]
@@ -135,36 +147,36 @@ def ensembles(draw):
 
 class TestMajorityVote:
     def test_three_of_five(self):
-        members = [[_pred([0.9, 0.1])], [_pred([0.8, 0.2])], [_pred([0.4, 0.6])],
-                   [_pred([0.7, 0.3])], [_pred([0.1, 0.9])]]
+        members = members_of([_pred([0.9, 0.1])], [_pred([0.8, 0.2])], [_pred([0.4, 0.6])],
+                             [_pred([0.7, 0.3])], [_pred([0.1, 0.9])])
         assert majority_vote(members, "a") == ["OFF"]
 
     def test_single_member_is_argmax(self):
-        members = [[_pred([0.3, 0.7])]]
+        members = members_of([_pred([0.3, 0.7])])
         assert majority_vote(members, "a") == ["NOT"]
 
     def test_even_tie_broken_by_probability_sum(self):
         # votes 2-2; summed P(OFF)=1.3 < summed P(NOT)=2.7, so NOT wins
-        members = [[_pred([0.8, 0.2])], [_pred([0.5 + 1e-9, 0.5 - 1e-9])],
-                   [_pred([0.0, 1.0])], [_pred([0.0, 1.0])]]
+        members = members_of([_pred([0.8, 0.2])], [_pred([0.5 + 1e-9, 0.5 - 1e-9])],
+                             [_pred([0.0, 1.0])], [_pred([0.0, 1.0])])
         assert majority_vote(members, "a") == ["NOT"]
 
     def test_even_tie_toward_off(self):
         # labels OFF,OFF,NOT,NOT; sum P(OFF)=2.2 > sum P(NOT)=1.8, so OFF wins
-        members = [[_pred([0.7, 0.3])], [_pred([0.6, 0.4])],
-                   [_pred([0.45, 0.55])], [_pred([0.45, 0.55])]]
+        members = members_of([_pred([0.7, 0.3])], [_pred([0.6, 0.4])],
+                             [_pred([0.45, 0.55])], [_pred([0.45, 0.55])])
         assert majority_vote(members, "a") == ["OFF"]
 
     def test_identical_members_equal_single_argmax(self):
         rng = np.random.default_rng(1)
-        preds = [random_prediction(rng) for _ in range(6)]
+        preds = batch_of([random_prediction(rng) for _ in range(6)])
         members = [preds] * 5
         for task in ("a", "b", "c"):
             assert majority_vote(members, task) == [p.label(task) for p in preds]
 
     def test_invariant_to_member_order(self):
         rng = np.random.default_rng(3)
-        members = [[random_prediction(rng) for _ in range(10)] for _ in range(5)]
+        members = [batch_of([random_prediction(rng) for _ in range(10)]) for _ in range(5)]
         forward = vote_triples(members)
         assert vote_triples(members[::-1]) == forward
 
@@ -172,10 +184,11 @@ class TestMajorityVote:
     # but not in floating point, where they depend on the order of addition
     @example([[([0.6, 0.4], [1, 0, 0], [1, 0, 0, 0])], [([0.9, 0.1], [1, 0, 0], [1, 0, 0, 0])],
               [([0.3, 0.7], [1, 0, 0], [1, 0, 0, 0])], [([0.2, 0.8], [1, 0, 0], [1, 0, 0, 0])]])
+    @example([[], []])  # no examples: every vote is empty
     @settings(max_examples=40, deadline=None)
     @given(ensembles())
     def test_invariant_under_every_member_permutation(self, scores):
-        members = [[PredictionTriple(*map(np.array, triple)) for triple in member]
+        members = [batch_of([PredictionTriple(*map(np.array, triple)) for triple in member])
                    for member in scores]
         want = {task: majority_vote(members, task) for task in TASK_CLASSES}
         triples = vote_triples(members)
@@ -189,15 +202,15 @@ class TestMajorityVote:
         for _ in range(1000):
             k = int(rng.choice([1, 2, 3, 4, 5, 6, 7]))
             n = int(rng.integers(1, 5))
-            members = [[random_prediction(rng) for _ in range(n)] for _ in range(k)]
+            members = [batch_of([random_prediction(rng) for _ in range(n)]) for _ in range(k)]
             for task in ("a", "b", "c"):
                 got = majority_vote(members, task)
                 want = [brute_vote(members, i, task) for i in range(n)]
                 assert got == want
 
     def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            majority_vote([[_pred([1, 0])], [_pred([1, 0]), _pred([1, 0])]], "a")
+        with pytest.raises(ValueError, match="different example counts"):
+            majority_vote(members_of([_pred([1, 0])], [_pred([1, 0]), _pred([1, 0])]), "a")
 
     def test_no_members(self):
         with pytest.raises(ValueError, match="at least one ensemble member"):

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from offlang.corpus import NormContext
 from offlang.encoder import EncoderConfig
 from offlang.evaluation import evaluate
 from offlang.mtl import (
+    TASK_CLASSES,
     TASKS,
     HeadConfig,
     LossWeights,
@@ -94,21 +96,54 @@ class TestForward:
 
     def test_argmax_invariant_to_logit_shift(self, batch):
         model, _, _, ids, mask = batch
-        before = [p.label_b for p in model.forward_mtl(ids, mask)]
+        before = model.forward_mtl(ids, mask).label("b")
         model.params["head_b.out.b"].data += 7.5
-        after = [p.label_b for p in model.forward_mtl(ids, mask)]
+        after = model.forward_mtl(ids, mask).label("b")
         assert before == after
 
 
 class TestPredictionTriple:
-    def test_lookups_match_properties(self):
-        rng = np.random.default_rng(3)
-        triple = PredictionTriple(*(rng.dirichlet(np.ones(n)) for n in (2, 3, 4)))
+    def test_rows_are_views_of_the_batch(self):
+        """On a ragged batch, row i's probabilities are row i of the batch's
+        (N, C) arrays, not copies, and the batch's one-argmax labels are the
+        rows' labels."""
+        examples = make_hierarchical_corpus(7, seed=6)
+        vocab = build_vocab([e.tweet.text for e in examples])
+        texts = [e.tweet.text for e in examples] + ["", " ".join(["word"] * 20)]
+        ids, mask = encode_batch(texts, vocab, 12)
+        assert mask.sum(axis=1).min() == 1 and mask.sum(axis=1).max() == 12
+        batch = tiny_model(len(vocab), seed=4).forward_mtl(ids, mask)
+        assert len(batch) == len(texts)
         for task in TASKS:
-            assert triple.label(task) == getattr(triple, f"label_{task}")
-            assert triple.probs(task) is getattr(triple, f"probs_{task}")
+            probs = batch.probs(task)
+            assert probs.shape == (len(texts), len(TASK_CLASSES[task]))
+            for i in range(len(batch)):
+                assert batch[i].probs(task).shape == probs[i].shape
+                assert np.shares_memory(batch[i].probs(task), probs)
+                assert np.array_equal(batch[i].probs(task), probs[i])
+            assert batch.label(task) == [batch[i].label(task) for i in range(len(batch))]
+            assert batch.label(task) == [row.label(task) for row in batch]
+
+    def test_batch_label_is_one_label_per_row(self):
+        # a flattened argmax over this batch would pick index 3, no class of task A
+        batch = PredictionTriple(np.array([[0.1, 0.9], [0.2, 0.8]]),
+                                 np.full((2, 3), 1 / 3), np.full((2, 4), 0.25))
+        assert batch.label("a") == ["NOT", "NOT"]
+        assert batch.label("b") == ["TIN", "TIN"]
+        assert batch[1].label("a") == "NOT"
+
+    def test_bad_lookups(self):
+        batch = PredictionTriple(np.full((2, 2), 0.5), np.full((2, 3), 1 / 3),
+                                 np.full((2, 4), 0.25))
         with pytest.raises(KeyError):
-            triple.probs("d")
+            batch.probs("d")
+        with pytest.raises(IndexError):
+            batch[2]
+        assert np.array_equal(batch[-1].probs_c, batch.probs_c[1])
+        with pytest.raises(TypeError):
+            len(batch[0])
+        with pytest.raises(TypeError):
+            batch[0][0]
 
 
 def reference_logits(model, ids, mask, rng):
@@ -244,7 +279,7 @@ class TestPredict:
                              patience=120, seed=1, use_dropout=False)
         model, _ = train(model, vocab, examples, examples, config)
         pred = predict(model, vocab, context, text)
-        assert (pred.label_a, pred.label_b, pred.label_c) == gold.as_tuple()
+        assert tuple(pred.label(task) for task in TASKS) == gold.as_tuple()
 
     def test_deterministic(self, batch):
         model, vocab, _, _, _ = batch
@@ -259,9 +294,9 @@ class TestPredict:
         context = NormContext(emoji=bundled_emoji_table(),
                               unigrams=bundled_unigram_table())
         p = predict(model, vocab, context, "whatever text")
-        assert p.label_a in ("OFF", "NOT")
-        assert p.label_b in ("TIN", "UNT", "NULL")
-        assert p.label_c in ("IND", "GRP", "OTH", "NULL")
+        assert p.label("a") in ("OFF", "NOT")
+        assert p.label("b") in ("TIN", "UNT", "NULL")
+        assert p.label("c") in ("IND", "GRP", "OTH", "NULL")
 
 
 class TestCheckpoint:
@@ -307,6 +342,36 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="is not a valid checkpoint"):
             load_checkpoint(stray)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, batch, value):
+        model, vocab, _, _, _ = batch
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(good, model, vocab, LossWeights())
+        bad = tmp_path / "bad.ckpt"
+        rewrite_checkpoint(good, bad, version=2, extra={
+            "tok_emb": np.full_like(model.params["tok_emb"].data, value)})
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bad} is not a valid checkpoint: parameter tok_emb holds a non-finite value")):
+            load_checkpoint(bad)
+
+    def test_vocabulary_larger_than_vocab_size_rejected(self, tmp_path, batch):
+        model, vocab, _, _, _ = batch
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(good, model, vocab, LossWeights())
+        lines = vocab.to_lines()
+        bad = tmp_path / "bad.ckpt"
+        rewrite_checkpoint(good, bad, version=2, extra={},
+                           vocab=lines + [f"extra{i}\t{len(lines) + i}" for i in range(5)])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bad} is not a valid checkpoint: the vocabulary has {len(lines) + 5} "
+                f"entries, more than the encoder's vocab_size {len(lines)}")):
+            load_checkpoint(bad)
+        # a vocabulary shorter than the embedding table stays legal
+        short = tmp_path / "short.ckpt"
+        rewrite_checkpoint(good, short, version=2, extra={}, vocab=lines[:-2])
+        _, short_vocab, _ = load_checkpoint(short)
+        assert len(short_vocab) == len(lines) - 2
+
 
 @st.composite
 def checkpoint_cases(draw):
@@ -345,12 +410,15 @@ class TestCheckpointRoundTrip:
             assert got.tobytes() == tensor.data.tobytes(), name
 
 
-def rewrite_checkpoint(src, dst, version, extra):
-    """Copy a checkpoint with its metadata version set and `extra` parameters added."""
+def rewrite_checkpoint(src, dst, version, extra, vocab=None):
+    """Copy a checkpoint with its metadata version set, `extra` parameters
+    added or replaced, and its vocabulary lines replaced if `vocab` is given."""
     with np.load(src) as data:
         arrays = {key: data[key] for key in data.files}
     meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
     meta["version"] = version
+    if vocab is not None:
+        meta["vocab"] = vocab
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     arrays.update({f"param/{name}": arr for name, arr in extra.items()})
     with open(dst, "wb") as handle:
