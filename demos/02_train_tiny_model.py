@@ -22,7 +22,7 @@ encoder = EncoderConfig(d_model=32, n_layers=1, n_heads=2, d_ffn=64,
                         max_len=10, vocab_size=len(vocab), dropout_rate=0.0)
 model = MtlModel(encoder, HeadConfig(hidden=32), seed=3)
 config = TrainConfig(learning_rate=2e-3, batch_size=32, max_epochs=10,
-                     patience=3, seed=3, use_dropout=False)
+                     patience=3, seed=3)
 
 model, history = train(model, vocab, train_ex, val_ex, config)
 for i, loss in enumerate(history.train_loss, start=1):

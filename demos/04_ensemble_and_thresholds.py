@@ -28,7 +28,7 @@ golds = [e.labels.a.value for e in val_ex]
 members = []
 for seed in range(5):
     config = TrainConfig(learning_rate=2e-3, batch_size=32, max_epochs=4,
-                         patience=4, seed=seed, use_dropout=False)
+                         patience=4, seed=seed)
     model, _ = train(MtlModel(encoder, HeadConfig(hidden=32), seed=seed),
                      vocab, train_ex, val_ex, config)
     preds = model.forward_mtl(ids, mask)  # (N, C) probabilities per task

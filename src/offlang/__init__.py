@@ -30,7 +30,7 @@ from .textnorm import (
     segment_hashtag,
     substitute_rare,
 )
-from .tokenizer import TokenSequence, Vocabulary, build_vocab, decode, encode
+from .tokenizer import Vocabulary, build_vocab, encode_batch
 from .training import TrainConfig, TrainHistory, check_gradients, pretrain_regression, train
 
 __version__ = "0.1.0"

@@ -59,14 +59,6 @@ class LabelTriple:
         return (self.a.value, self.b.value, self.c.value)
 
 
-def is_consistent(a: TaskLabelA, b: TaskLabelB, c: TaskLabelC) -> bool:
-    try:
-        LabelTriple(a, b, c)
-    except HierarchyError:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class LabeledExample:
     tweet: NormalizedTweet

@@ -47,8 +47,8 @@ class LossWeights:
     w_c: float = 0.3
 
     def __post_init__(self):
-        if min(self.w_a, self.w_b, self.w_c) < 0:
-            raise ValueError("loss weights must be nonnegative")
+        if not all(0 <= w < np.inf for w in self.as_tuple()):
+            raise ValueError("loss weights must be finite and nonnegative")
         if abs(self.w_a + self.w_b + self.w_c - 1.0) > 1e-9:
             raise ValueError("loss weights must sum to 1")
 

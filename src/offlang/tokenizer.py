@@ -1,8 +1,8 @@
 """Whitespace vocabulary and fixed-length token-id encoding.
 
-Reserved ids: PAD=0, UNK=1, CLS=2. Sequences start with CLS, are truncated
-to max_len (CLS counted), and padded with PAD; the attention mask marks
-real tokens.
+Reserved ids: PAD=0, UNK=1, CLS=2. `encode_batch` is the one path from
+text to ids: each row starts with CLS, is truncated to max_len (CLS
+counted) and padded with PAD, and the attention mask marks real tokens.
 """
 
 from __future__ import annotations
@@ -50,17 +50,11 @@ class Vocabulary:
         return cls(mapping)
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    ids: np.ndarray
-    attention_mask: np.ndarray
-
-
 def build_vocab(corpus, min_freq: int = 1, max_size: int | None = None) -> Vocabulary:
     """Count whitespace tokens; keep those with frequency >= min_freq, most
     frequent first (alphabetical among ties), capped at max_size including
     the reserved tokens. A text token spelled like a reserved name gets no
-    entry of its own, and `encode` maps it to UNK."""
+    entry of its own, and `encode_batch` maps it to UNK."""
     if min_freq < 1:
         raise ValueError("min_freq must be >= 1")
     counts = Counter()
@@ -78,40 +72,22 @@ def build_vocab(corpus, min_freq: int = 1, max_size: int | None = None) -> Vocab
     return Vocabulary(mapping)
 
 
-def encode(text: str, vocab: Vocabulary, max_len: int = 64) -> TokenSequence:
-    """CLS + token ids, truncated to max_len, PAD-filled. A token missing
-    from the vocabulary, or spelled like a reserved name, is UNK, so PAD
-    and CLS mark only padding and the sequence start."""
+def encode_batch(texts, vocab: Vocabulary, max_len: int):
+    """(ids, mask) for a list of texts, each a (len(texts), max_len) int64
+    array. Row i is CLS and the ids of text i's whitespace tokens,
+    truncated to max_len (CLS counted) and PAD-filled; the mask marks the
+    real positions. A token missing from the vocabulary, or spelled like a
+    reserved name, is UNK, so PAD and CLS mark only padding and the
+    sequence start."""
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
-    ids = [CLS]
-    for tok in text.split():
-        i = vocab.token_to_id.get(tok, UNK)
-        ids.append(i if i >= len(RESERVED) else UNK)
-    ids = ids[:max_len]
-    mask = [1] * len(ids) + [0] * (max_len - len(ids))
-    ids = ids + [PAD] * (max_len - len(ids))
-    return TokenSequence(
-        ids=np.array(ids, dtype=np.int64),
-        attention_mask=np.array(mask, dtype=np.int64),
-    )
-
-
-def decode(seq: TokenSequence, vocab: Vocabulary) -> str:
-    """Inverse of encode on in-vocabulary text, minus the CLS marker."""
-    names = vocab.id_to_token
-    toks = [
-        names[i]
-        for i, m in zip(seq.ids, seq.attention_mask)
-        if m and i not in (PAD, CLS)
-    ]
-    return " ".join(toks)
-
-
-def encode_batch(texts, vocab: Vocabulary, max_len: int = 64):
-    """Stacked (ids, mask) arrays for a list of texts."""
-    seqs = [encode(t, vocab, max_len) for t in texts]
-    return (
-        np.stack([s.ids for s in seqs]),
-        np.stack([s.attention_mask for s in seqs]),
-    )
+    rows = [text.split()[:max_len - 1] for text in texts]
+    tokens = np.array([vocab.token_to_id.get(tok, UNK) for row in rows for tok in row],
+                      dtype=np.int64)
+    tokens[tokens < len(RESERVED)] = UNK
+    lengths = np.array([len(row) + 1 for row in rows], dtype=np.int64)
+    real = np.arange(max_len) < lengths[:, None]
+    ids = np.full(real.shape, PAD, dtype=np.int64)
+    ids[:, 0] = CLS
+    ids[:, 1:][real[:, 1:]] = tokens
+    return ids, real.astype(np.int64)

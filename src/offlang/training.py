@@ -25,13 +25,12 @@ class TrainConfig:
     patience: int = 3
     loss_weights: LossWeights = field(default_factory=LossWeights)
     seed: int = 0
-    use_dropout: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1:
-            raise ValueError("learning_rate and batch_size must be positive")
-        if self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("max_epochs and patience must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be a finite positive number")
+        if min(self.batch_size, self.max_epochs, self.patience) < 1:
+            raise ValueError("batch_size, max_epochs and patience must be positive")
 
     def to_dict(self):
         d = asdict(self)
@@ -82,20 +81,20 @@ class EarlyStopper:
 
 
 class Adam:
-    """Adaptive moment estimation with the standard defaults."""
+    """Adaptive moment estimation with the standard constants."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {n: np.zeros_like(t.data) for n, t in params.items()}
         self.v = {n: np.zeros_like(t.data) for n, t in params.items()}
         self.t = 0
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for name, tensor in self.params.items():
             g = tensor.grad
             if g is None:
@@ -104,7 +103,7 @@ class Adam:
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             m_hat = self.m[name] / (1 - b1 ** self.t)
             v_hat = self.v[name] / (1 - b2 ** self.t)
-            tensor.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            tensor.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 class NonFiniteLossError(RuntimeError):
@@ -132,8 +131,9 @@ def fit(params: dict[str, Tensor], n: int, step_loss, config: TrainConfig,
         rng: np.random.Generator, validate=None) -> TrainHistory:
     """Adam epochs over shuffled mini-batches of `n` encoded examples.
 
-    `step_loss(batch, drop_rng)` returns the scalar loss of one index
-    batch; `drop_rng` is `rng` when dropout is on and None otherwise. After
+    `step_loss(batch, rng)` returns the scalar loss of one index batch,
+    drawing any dropout masks from `rng`, which also shuffles the batches;
+    the model's `dropout_rate` alone decides whether dropout runs. After
     each epoch `validate()`, if given, returns per-task F1: training stops
     when F1(A) fails to strictly improve for `patience` consecutive epochs,
     and the parameters of the best epoch are restored. Without `validate`
@@ -147,7 +147,7 @@ def fit(params: dict[str, Tensor], n: int, step_loss, config: TrainConfig,
     for epoch in range(1, config.max_epochs + 1):
         epoch_losses = []
         for batch in _minibatches(n, config.batch_size, rng):
-            loss = step_loss(batch, rng if config.use_dropout else None)
+            loss = step_loss(batch, rng)
             if not np.isfinite(loss.data):
                 raise NonFiniteLossError(f"non-finite loss at epoch {epoch}")
             for tensor in params.values():
@@ -187,8 +187,8 @@ def train(model: MtlModel, vocab: Vocabulary,
     ids, mask = _encode_examples(train_examples, vocab, model.encoder_config.max_len)
     targets, real = batch_targets(train_examples)
 
-    def step_loss(batch, drop_rng):
-        logits = model.logits_mtl(ids[batch], mask[batch], drop_rng)
+    def step_loss(batch, rng):
+        logits = model.logits_mtl(ids[batch], mask[batch], rng)
         loss, _, _ = mtl_loss(logits, {t: targets[t][batch] for t in targets},
                               config.loss_weights, real[batch])
         return loss
@@ -207,9 +207,9 @@ def _cls_head(model: MtlModel, rng: np.random.Generator, n_out: int):
     head_w = Tensor(rng.uniform(-1, 1, (d, n_out)) / np.sqrt(d), requires_grad=True)
     head_b = Tensor(np.zeros(n_out), requires_grad=True)
 
-    def logits(ids, mask, drop_rng=None):
+    def logits(ids, mask, rng=None):
         lengths = prefix_lengths(mask)
-        cls = gather_rows(model.encode(ids, mask, drop_rng), np.cumsum(lengths) - lengths)
+        cls = gather_rows(model.encode(ids, mask, rng), np.cumsum(lengths) - lengths)
         return cls @ head_w + head_b
 
     return logits, {**model.params, "cls_head.w": head_w, "cls_head.b": head_b}
@@ -232,8 +232,8 @@ def train_baseline(model: MtlModel, vocab: Vocabulary,
     # its own generator, so the minibatches are the ones `train` draws
     logits, trainable = _cls_head(model, np.random.default_rng(config.seed + 1), 2)
 
-    def step_loss(batch, drop_rng):
-        return cross_entropy(logits(ids[batch], mask[batch], drop_rng),
+    def step_loss(batch, rng):
+        return cross_entropy(logits(ids[batch], mask[batch], rng),
                              targets["a"][batch], np.ones(len(batch)))
 
     def validate():
@@ -264,8 +264,8 @@ def pretrain_regression(model: MtlModel, vocab: Vocabulary,
     ids, mask = _encode_examples(scored, vocab, model.encoder_config.max_len)
     targets = np.array([ex.avg_conf for ex in scored])
 
-    def step_loss(batch, drop_rng):
-        pred = logits(ids[batch], mask[batch], drop_rng).sigmoid().reshape(-1)
+    def step_loss(batch, rng):
+        pred = logits(ids[batch], mask[batch], rng).sigmoid().reshape(-1)
         err = pred - Tensor(targets[batch])
         return (err ** 2.0).mean()
 
@@ -277,7 +277,11 @@ def check_gradients(model: MtlModel, examples: list[LabeledExample],
                     vocab: Vocabulary, weights: LossWeights,
                     epsilon: float = 1e-4) -> float:
     """Max relative error between analytic and central-difference gradients
-    of the multi-task loss, over every parameter entry. Dropout is off."""
+    of the multi-task loss, over every parameter entry. Dropout is off. A
+    NaN error on any entry makes the result NaN, so it cannot pass a
+    tolerance check. `epsilon` must be finite and positive."""
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be a finite positive number, not {epsilon}")
     ids, mask = _encode_examples(examples, vocab, model.encoder_config.max_len)
     targets, real = batch_targets(examples)
 
@@ -309,5 +313,5 @@ def check_gradients(model: MtlModel, examples: list[LabeledExample],
             flat[i] = orig
             numeric = (up - down) / (2 * epsilon)
             denom = max(abs(a_flat[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(a_flat[i] - numeric) / denom)
-    return worst
+            worst = np.maximum(worst, abs(a_flat[i] - numeric) / denom)  # keeps NaN
+    return float(worst)

@@ -19,7 +19,6 @@ from offlang.corpus import (
     TaskLabelB,
     TaskLabelC,
     binarize,
-    is_consistent,
     save_labeled,
     split,
 )
@@ -44,7 +43,7 @@ from offlang.textnorm import (
     normalize,
     segment_hashtag,
 )
-from offlang.tokenizer import build_vocab, encode, encode_batch
+from offlang.tokenizer import build_vocab, encode_batch
 from offlang.training import (
     Adam,
     EarlyStopper,
@@ -57,6 +56,7 @@ from offlang.training import (
 )
 from offlang.mtl import mtl_loss
 
+from test_corpus import is_consistent
 from test_evaluation import batch_of
 from test_segmentation import brute_force_segment
 
@@ -139,7 +139,7 @@ def test_03_mtl_trend():
     mtl_scores, base_scores = [], []
     for seed in range(5):
         config = TrainConfig(learning_rate=2e-3, batch_size=64, max_epochs=4,
-                             patience=4, seed=seed, use_dropout=False)
+                             patience=4, seed=seed)
         model, history = train(
             MtlModel(enc, HeadConfig(hidden=32), seed=seed),
             vocab, train_ex, val_ex, config,
@@ -234,8 +234,8 @@ def test_06_preprocessing_golden(tmp_path):
         if got != expected:
             failures.append((raw, got, expected))
     vocab = build_vocab(["w"])
-    seq = encode(" ".join(["w"] * 100), vocab, max_len=64)
-    truncated = len(seq.ids) == 64 and seq.attention_mask.sum() == 64
+    ids, mask = encode_batch([" ".join(["w"] * 100)], vocab, 64)
+    truncated = ids.shape == (1, 64) and mask.sum() == 64
     report(6, "preprocessing golden suite", not failures and truncated,
            f"{len(golden)} transforms exact, truncation to 64")
 
@@ -384,7 +384,7 @@ def test_12_regression_pretraining_smoke():
     enc = small_encoder(len(vocab), d_model=16, d_ffn=32, max_len=10)
     model = MtlModel(enc, HeadConfig(hidden=16), seed=12)
     config = TrainConfig(learning_rate=1e-3, batch_size=64, max_epochs=3,
-                         seed=12, use_dropout=False)
+                         seed=12)
     _, epoch_mse = pretrain_regression(model, vocab, scored, config)
     monotone = epoch_mse[0] > epoch_mse[1] > epoch_mse[2]
     report(12, "regression pre-training smoke", monotone,

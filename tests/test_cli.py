@@ -8,20 +8,20 @@ import numpy as np
 import pytest
 
 from offlang import training
-from offlang.checkpoint import FORMAT_VERSION, load_checkpoint
+from offlang.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from offlang.cli import GRADCHECK_CONFIG, dispatch
 from offlang.corpus import save_labeled
 from offlang.encoder import EncoderConfig
-from offlang.mtl import HeadConfig
+from offlang.mtl import HeadConfig, LossWeights, MtlModel
 from offlang.synth import make_hierarchical_corpus, make_scored_corpus
+from offlang.tokenizer import build_vocab
 
 TINY_CONFIG = {
     "encoder": {"d_model": 16, "n_layers": 1, "n_heads": 2, "d_ffn": 32,
                 "max_len": 12, "dropout_rate": 0.0},
     "head": {"hidden": 16},
     "train": {"learning_rate": 3e-3, "batch_size": 16, "max_epochs": 2,
-              "patience": 3, "loss_weights": [0.4, 0.3, 0.3], "seed": 0,
-              "use_dropout": False},
+              "patience": 3, "loss_weights": [0.4, 0.3, 0.3], "seed": 0},
 }
 
 
@@ -89,6 +89,16 @@ BAD_CONFIGS = {
     "string_for_int": ({"encoder": {"d_model": "64"}}, 'd_model must be an integer, not "64"'),
     "float_for_int": ({"train": {"batch_size": 1e9}}, "batch_size must be an integer"),
     "top_level_list": ([{"train": {}}], "must be a JSON object"),
+    # dropout follows encoder.dropout_rate alone
+    "use_dropout": ({"train": {"use_dropout": False}}, "unknown: ['use_dropout']"),
+    # JSON reads the literals NaN and Infinity
+    "nan_learning_rate": ({"train": {"learning_rate": float("nan"), "max_epochs": 1}},
+                          "learning_rate must be a finite positive number"),
+    "infinite_learning_rate": ({"train": {"learning_rate": float("inf"), "max_epochs": 1}},
+                               "learning_rate must be a finite positive number"),
+    "nan_loss_weight": ({"train": {"loss_weights": [float("nan"), 0.5, 0.5],
+                                   "max_epochs": 1}},
+                        "loss weights must be finite and nonnegative"),
 }
 
 
@@ -104,6 +114,7 @@ def test_bad_config_is_one_error_line(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def checkpoint_meta(**overrides):
@@ -138,6 +149,25 @@ class TestBadCheckpoint:
                     k: np.frombuffer(v, dtype=np.uint8) for k, v in entries.items()})
         assert dispatch(["predict", "--model", str(path), "--text", "hi"]) == 1
         assert f"error: {path} is not a valid checkpoint" in capsys.readouterr().err
+
+    def test_nan_loss_weights(self, tmp_path, capsys):
+        vocab = build_vocab(["a b c"])
+        model = MtlModel(EncoderConfig(d_model=8, n_layers=1, n_heads=2, d_ffn=16,
+                                       max_len=8, vocab_size=len(vocab)),
+                         HeadConfig(hidden=4), seed=0)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, vocab, LossWeights())
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        meta["loss_weights"] = [float("nan"), 0.5, 0.5]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+        assert dispatch(["predict", "--model", str(path), "--text", "a b"]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {path} is not a valid checkpoint: "
+                       "loss weights must be finite and nonnegative\n")
 
 
 class TestPreprocess:
@@ -227,7 +257,7 @@ class TestTrainEvaluate:
         config = write_config(tmp_path, train={
             "learning_rate": 3e-6, "batch_size": 32, "max_epochs": 20,
             "patience": 3, "loss_weights": [0.4, 0.3, 0.3], "seed": 0,
-            "use_dropout": False, "max_epochs": 1,
+            "max_epochs": 1,
         })
         train_tsv = write_labeled(tmp_path, "train.tsv", 16, seed=1)
         val_tsv = write_labeled(tmp_path, "val.tsv", 8, seed=2)
@@ -337,6 +367,14 @@ class TestGradcheck:
         assert dispatch(["gradcheck", "--batch", "2"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "max_relative_error" in out
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-0.5"])
+    def test_bad_epsilon_is_one_error_line(self, capsys, epsilon):
+        assert dispatch(["gradcheck", "--batch", "2", "--epsilon", epsilon]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: epsilon must be a finite positive number, "
+                                f"not {float(epsilon)}\n")
+        assert "PASS" not in captured.out
 
     def test_config_vocab_section_is_used(self, tmp_path, capsys, monkeypatch):
         """`max_size` caps the vocabulary, so the embedding table and the

@@ -13,7 +13,6 @@ from offlang.corpus import (
     TaskLabelB,
     TaskLabelC,
     binarize,
-    is_consistent,
     load_labeled,
     load_scored,
     save_labeled,
@@ -33,6 +32,15 @@ VALID_TRIPLES = {
 @pytest.fixture(scope="module")
 def context():
     return NormContext(emoji=bundled_emoji_table(), unigrams=bundled_unigram_table())
+
+
+def is_consistent(a: TaskLabelA, b: TaskLabelB, c: TaskLabelC) -> bool:
+    """Whether the triple passes the hierarchy constraints."""
+    try:
+        LabelTriple(a, b, c)
+    except HierarchyError:
+        return False
+    return True
 
 
 def _tweet(i="t1", text="hello world"):

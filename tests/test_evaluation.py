@@ -263,7 +263,7 @@ class TestEvaluate:
         vocab = build_vocab([e.tweet.text for e in examples])
         model = tiny_model(len(vocab), seed=21)
         config = TrainConfig(learning_rate=5e-3, batch_size=8, max_epochs=200,
-                             patience=200, seed=21, use_dropout=False)
+                             patience=200, seed=21)
         model, history = train(model, vocab, examples, examples, config)
         report = evaluate(model, vocab, examples)
         assert report.tasks["a"].macro_f1 == 1.0

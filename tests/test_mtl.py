@@ -89,6 +89,19 @@ class TestForward:
         with no_grad():
             assert model.logits_mtl(ids, mask)["a"]._backward is None
 
+    def test_rate_zero_draws_nothing(self, batch):
+        """At dropout_rate 0 a generator changes nothing: the logits equal
+        the generator-free ones bit for bit, and no number is drawn."""
+        model, _, _, ids, mask = batch
+        assert model.encoder_config.dropout_rate == 0.0
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with_rng = model.logits_mtl(ids, mask, rng)
+        without = model.logits_mtl(ids, mask, None)
+        for task in TASKS:
+            assert with_rng[task].data.tobytes() == without[task].data.tobytes()
+        assert rng.bit_generator.state == state
+
     def test_empty_batch(self, batch):
         model = batch[0]
         with pytest.raises(ValueError):
@@ -276,7 +289,7 @@ class TestPredict:
         vocab = build_vocab([text])
         model = tiny_model(len(vocab), seed=1)
         config = TrainConfig(learning_rate=5e-3, batch_size=1, max_epochs=120,
-                             patience=120, seed=1, use_dropout=False)
+                             patience=120, seed=1)
         model, _ = train(model, vocab, examples, examples, config)
         pred = predict(model, vocab, context, text)
         assert tuple(pred.label(task) for task in TASKS) == gold.as_tuple()

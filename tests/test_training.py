@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from offlang import training
 from offlang.autodiff import Tensor
 from offlang.encoder import EncoderConfig
 from offlang.mtl import HeadConfig, LossWeights, MtlModel, batch_targets, mtl_loss
@@ -94,7 +95,7 @@ class TestTrain:
 
         examples, vocab = small_setup()
         config = TrainConfig(learning_rate=3e-3, batch_size=8, max_epochs=5,
-                             patience=5, seed=2, use_dropout=False)
+                             patience=5, seed=2)
         model, history = train(tiny_model(len(vocab), seed=2), vocab,
                                examples[:16], examples[16:], config)
         rescored = validation_f1(model, examples[16:], vocab)
@@ -140,7 +141,7 @@ class TestPretrainRegression:
         vocab = build_vocab([e.tweet.text for e in scored])
         model = tiny_model(len(vocab), seed=3)
         config = TrainConfig(learning_rate=1e-3, batch_size=40, max_epochs=3,
-                             seed=3, use_dropout=False)
+                             seed=3)
         _, epoch_mse = pretrain_regression(model, vocab, scored, config)
         # full-batch epochs: each epoch is one small-lr step
         assert epoch_mse[0] > epoch_mse[1] > epoch_mse[2]
@@ -248,6 +249,23 @@ class TestCheckGradients:
         error = check_gradients(model, examples[:4], vocab, LossWeights(),
                                 epsilon=1e-4)
         assert error <= 1e-3
+
+    def test_nan_error_is_kept(self, monkeypatch):
+        """A NaN finite difference makes the result NaN, which passes no
+        tolerance; `max` would skip it and report the largest finite error."""
+        examples, vocab = small_setup(n=2)
+        cfg = EncoderConfig(d_model=4, n_layers=1, n_heads=1, d_ffn=4,
+                            max_len=4, vocab_size=len(vocab), dropout_rate=0.0)
+        model = MtlModel(cfg, HeadConfig(hidden=2), seed=0)
+        calls = []
+
+        def nan_after_first(*args):
+            total, per_task, empty = mtl_loss(*args)
+            calls.append(None)
+            return (total if len(calls) == 1 else total * np.nan), per_task, empty
+
+        monkeypatch.setattr(training, "mtl_loss", nan_after_first)
+        assert np.isnan(check_gradients(model, examples[:2], vocab, LossWeights()))
 
     def test_unused_heads_have_zero_gradient_and_pass(self):
         examples, vocab = small_setup(n=2)
