@@ -3,18 +3,20 @@
 Everything runs in float64 so that analytic gradients can be compared
 against central finite differences at tight tolerances. The op set is
 exactly what the encoder, the recurrent heads, and the losses need;
-no attempt is made to be a general framework. The recurrent heads run as
-one fused `lstm` node, a single recurrence over all heads whose backward
-is hand-written BPTT; like every other op, it is checked against finite
-differences. Inside `no_grad()` ops build no graph, which is how inference
-runs.
+no attempt is made to be a general framework. Three fused nodes carry
+most of the work, each with a hand-written backward: `lstm`, a single
+recurrence over all heads with BPTT; `attention`, multi-head
+self-attention from scores to context; and `layer_norm`. Like every other
+op, each is checked against finite differences. Inside `no_grad()` ops
+build no graph, which is how inference runs.
 
 Padded batches carry a (B, T) mask whose rows are real tokens (1) first,
 then PAD (0); `prefix_lengths` enforces that. Execution is packed: token
-activations are (N, ...) rows, one per real token in row-major order, and
-`lstm` reads them as such and steps only the rows still running.
-`scatter_rows`/`gather_rows` move rows between that packed array and a
-(B, L) scratch layout, where attention needs one.
+activations are (N, ...) rows, one per real token in row-major order.
+`lstm` reads them as such and steps only the rows still running;
+`attention` reads them in a few length-sorted groups of rows, each padded
+only to its own longest row, and writes each token's context back to its
+row.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ import numpy as np
 # per thread and per asyncio task, so inference in one cannot silently drop
 # the graph that training builds in another
 _grad_enabled = ContextVar("grad_enabled", default=True)
+
+LN_EPS = 1e-5
+MASK_NEG = -1e30          # exp() underflows to exactly 0, so a PAD key gets weight 0
+ATTENTION_GROUPS = 8      # length groups per `attention` call; see CHANGES.md for the sweep
 
 
 @contextmanager
@@ -335,19 +341,6 @@ def prefix_lengths(mask: np.ndarray) -> np.ndarray:
     return lengths
 
 
-def scatter_rows(x: Tensor, index: np.ndarray, n_rows: int) -> Tensor:
-    """An (n_rows, ...) array of zeros with the rows of `x` at the distinct
-    positions `index`; the backward gathers them back."""
-    out_data = np.zeros((n_rows,) + x.shape[1:])
-    out_data[index] = x.data
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g[index])
-
-    return Tensor._result(out_data, (x,), backward)
-
-
 def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
     """The rows of `x` at the distinct positions `index`. Unlike `rows`, the
     backward assigns instead of accumulating, since no row repeats."""
@@ -358,6 +351,129 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
             x._accumulate(full)
 
     return Tensor._result(x.data[index], (x,), backward)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Layer norm over the last axis, (x - mean) / sqrt(var + LN_EPS) *
+    gamma + beta, as one node. Forward and backward evaluate the same
+    expressions, in the same order, as the composed ops (`mean`, `-`, `**`,
+    `*`, `+`) would, so the results are bit-identical to them."""
+    inv_n = 1.0 / x.data.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    shifted_var = (centered ** 2.0).sum(axis=-1, keepdims=True) * inv_n + LN_EPS
+    inv_std = shifted_var ** -0.5
+    normed = centered * inv_std
+    out_data = normed * gamma.data + beta.data
+
+    def backward(g):
+        if beta.requires_grad:
+            beta._accumulate(_unbroadcast(g, beta.data.shape))
+        if gamma.requires_grad:
+            gamma._accumulate(_unbroadcast(g * normed, gamma.data.shape))
+        if x.requires_grad:
+            d_normed = g * gamma.data
+            d_inv_std = (d_normed * centered).sum(axis=-1, keepdims=True)
+            d_sum_sq = d_inv_std * -0.5 * shifted_var ** -1.5 * inv_n
+            d_centered = d_normed * inv_std + d_sum_sq * 2.0 * centered
+            d_sum = -d_centered.sum(axis=-1, keepdims=True) * inv_n
+            x._accumulate(d_centered + d_sum)
+
+    return Tensor._result(out_data, (x, gamma, beta), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, lengths: np.ndarray, n_heads: int,
+              rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Multi-head self-attention over packed token rows, as one node: each
+    token's context (N, d), heads side by side, before the output
+    projection.
+
+    q, k, v: (N, d) rows, one per real token, row b's `lengths[b]` tokens
+    contiguous in row-major order (the layout `encoder.encode` builds); d
+    splits into `n_heads` heads of d / n_heads. A token attends to the
+    tokens of its own row only. The rows are sorted by length, longest
+    first (stable), and cut into ATTENTION_GROUPS groups of near-equal row
+    counts. Each group runs as one (rows, heads, Lg, Lg) block of scores,
+    padded only to its own longest row Lg, with PAD keys masked out; a group
+    whose rows all have length Lg (a batch of one, say) is gathered without
+    padding or mask.
+    With `rng` and `rate` > 0 the softmax weights get inverted dropout, one
+    keep mask drawn per group, in group order, at its block's shape. The
+    backward is written by hand; inside `no_grad()` no block is kept.
+    """
+    lengths = np.asarray(lengths)
+    n_tokens = int(lengths.sum())
+    if q.data.ndim != 2 or len(q.data) != n_tokens or not k.shape == v.shape == q.shape:
+        raise ValueError(f"q, k and v must be ({n_tokens}, d) rows, one per real token "
+                         f"of `lengths`, not {q.shape}, {k.shape}, {v.shape}")
+    d = q.data.shape[1]
+    dh = d // n_heads
+    scale = 1.0 / np.sqrt(dh)
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(-lengths, kind="stable")
+    keep_graph = _grad_enabled.get() and any(t.requires_grad for t in (q, k, v))
+    blocks = []
+
+    def to_heads(packed, group):          # (N, d) -> (rows, heads, Lg, dh)
+        n_rows, width, tokens, place = group
+        if place is None:
+            block = packed[tokens]
+        else:
+            block = np.zeros((n_rows * width, d))
+            block[place] = packed[tokens]
+        return block.reshape(n_rows, width, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def to_tokens(packed, group, block):  # writes a (rows, heads, Lg, dh) block's tokens
+        n_rows, width, tokens, place = group
+        flat = block.transpose(0, 2, 1, 3).reshape(n_rows * width, d)
+        packed[tokens] = flat if place is None else flat[place]
+
+    out_data = np.empty((n_tokens, d))
+    for members in np.array_split(order, max(min(ATTENTION_GROUPS, len(order)), 1)):
+        if not len(members) or lengths[members[0]] == 0:
+            break                         # the rows left are all PAD
+        lens = lengths[members]
+        width = int(lens[0])
+        real = np.arange(width) < lens[:, None]
+        tokens = (starts[members][:, None] + np.arange(width))[real]
+        place = None if lens[-1] == width else np.flatnonzero(real)
+        group = (len(members), width, tokens, place)
+        qh, kh, vh = (to_heads(t.data, group) for t in (q, k, v))
+        probs = qh @ kh.transpose(0, 1, 3, 2)
+        probs *= scale
+        if place is not None:
+            probs += np.where(real, 0.0, MASK_NEG)[:, None, None, :]
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        keep = None
+        weights = probs
+        if rng is not None and rate > 0.0:
+            keep = (rng.random(probs.shape) >= rate) / (1.0 - rate)
+            weights = probs * keep
+        to_tokens(out_data, group, weights @ vh)
+        if keep_graph:
+            blocks.append((group, qh, kh, vh, probs, keep, weights))
+
+    def backward(g):
+        grads = [np.empty((n_tokens, d)) for _ in range(3)]
+        for group, qh, kh, vh, probs, keep, weights in blocks:
+            d_ctx = to_heads(g, group)
+            d_scores = d_ctx @ vh.transpose(0, 1, 3, 2)
+            d_vh = weights.transpose(0, 1, 3, 2) @ d_ctx
+            if keep is not None:
+                d_scores *= keep
+            d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
+            d_scores *= probs
+            d_scores *= scale
+            d_qh = d_scores @ kh
+            d_kh = d_scores.transpose(0, 1, 3, 2) @ qh
+            for packed, block in zip(grads, (d_qh, d_kh, d_vh)):
+                to_tokens(packed, group, block)
+        for t, grad in zip((q, k, v), grads):
+            if t.requires_grad:
+                t._accumulate(grad)
+
+    return Tensor._result(out_data, (q, k, v), backward)
 
 
 def lstm(x: Tensor, mask: np.ndarray, heads: list) -> Tensor:

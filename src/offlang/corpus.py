@@ -77,8 +77,8 @@ class ScoredExample:
     def __post_init__(self):
         if not (0.0 <= self.avg_conf <= 1.0):
             raise ValueError(f"avg_conf {self.avg_conf} outside [0, 1]")
-        if self.std_conf < 0.0:
-            raise ValueError(f"std_conf {self.std_conf} negative")
+        if not (0.0 <= self.std_conf < float("inf")):
+            raise ValueError(f"std_conf {self.std_conf} not finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Post-layernorm blocks, learned positional embeddings, GELU feed-forward,
 CLS-first inputs. Desk-scale by default; all math in float64 through the
 autodiff core so gradients are exact. Execution is packed: every layer
 runs on the batch's real tokens only, and the output is those packed
-token rows (see `encode`).
+token rows (see `encode`). Attention and layer norm are single fused
+autodiff nodes (`autodiff.attention`, `autodiff.layer_norm`); attention
+pads each length-sorted group of rows only to its own longest row.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .autodiff import Tensor, dropout, gather_rows, prefix_lengths, rows, scatter_rows
+from .autodiff import Tensor, attention, dropout, layer_norm, prefix_lengths, rows
 
 
 @dataclass(frozen=True)
@@ -40,10 +42,6 @@ class EncoderConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-LN_EPS = 1e-5
-MASK_NEG = -1e30  # exp() underflows to exactly 0, so PAD attention weight is 0
 
 
 def linear(params: dict[str, Tensor], rng: np.random.Generator, name: str,
@@ -82,38 +80,6 @@ def init_encoder(config: EncoderConfig, seed: int) -> dict[str, Tensor]:
     return params
 
 
-def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered ** 2.0).mean(axis=-1, keepdims=True)
-    return centered * (var + LN_EPS) ** -0.5 * gamma + beta
-
-
-def _attention(x: Tensor, params: dict[str, Tensor], prefix: str,
-               config: EncoderConfig, layout: tuple[int, int], slots: np.ndarray,
-               attn_bias: np.ndarray, rng: np.random.Generator | None) -> Tensor:
-    """Self-attention over packed tokens x (N, d). Q, K and V are projected
-    per token, then laid out as (B, L) at `slots` for the scores; each
-    token's context is read back from its slot before the output
-    projection. Dropout on the (B, H, L, L) weights draws from `rng`."""
-    B, L = layout
-    D = x.shape[1]
-    H = config.n_heads
-    dh = D // H
-
-    def heads(name):
-        proj = x @ params[f"{prefix}.{name}.w"] + params[f"{prefix}.{name}.b"]
-        padded = scatter_rows(proj, slots, B * L)
-        return padded.reshape(B, L, H, dh).transpose(0, 2, 1, 3)  # (B,H,L,dh)
-
-    q, k, v = heads("q"), heads("k"), heads("v")
-    scores = q @ k.transpose(0, 1, 3, 2) * (1.0 / np.sqrt(dh))
-    scores = scores + Tensor(attn_bias)
-    weights = dropout(scores.softmax(), config.dropout_rate, rng)
-    ctx = (weights @ v).transpose(0, 2, 1, 3).reshape(B * L, D)
-    return gather_rows(ctx, slots) @ params[f"{prefix}.o.w"] + params[f"{prefix}.o.b"]
-
-
 def encode(params: dict[str, Tensor], config: EncoderConfig,
            ids: np.ndarray, mask: np.ndarray,
            rng: np.random.Generator | None = None) -> Tensor:
@@ -124,11 +90,12 @@ def encode(params: dict[str, Tensor], config: EncoderConfig,
     Each mask row is 1 for the row's real tokens, then 0 for PAD (see
     `autodiff.prefix_lengths`). The embeddings, the Q/K/V/O and
     feed-forward projections, GELU, layer norm, residuals and dropout all
-    run on the packed rows. Only the attention scores use a (B, L) layout,
-    where L is the longest row, and PAD keys get zero weight. `rng` turns
-    dropout on (training); None is deterministic evaluation. Each dropout
-    mask is drawn at the shape it masks: (N, d_model) for token layers and
-    (B, H, L, L) for attention weights.
+    run on the packed rows. `autodiff.attention` scores each row's tokens
+    against each other in length-sorted groups of rows, each padded only to
+    its own longest row, and PAD keys get zero weight. `rng` turns dropout
+    on (training); None is deterministic evaluation. Each token-layer
+    dropout mask is drawn at (N, d_model); attention draws one mask per
+    group, at the group's (rows, heads, longest, longest) shape.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2 or ids.shape[1] == 0:
@@ -144,22 +111,21 @@ def encode(params: dict[str, Tensor], config: EncoderConfig,
     lengths = prefix_lengths(mask)
 
     rate = config.dropout_rate
-    L = max(int(lengths.max(initial=0)), 1)
-    real = np.arange(T) < lengths[:, None]
-    tokens = np.flatnonzero(real)                 # row-major (b, t)
-    row, pos = np.divmod(tokens, T)
-    slots = row * L + pos                         # each token's place in (B, L)
-    attn_bias = (1.0 - real[:, :L])[:, None, None, :] * MASK_NEG    # (B,1,1,L)
+    tokens = np.flatnonzero(np.arange(T) < lengths[:, None])     # row-major (b, t)
+    pos = tokens % T
+
+    def affine(x, name):
+        return x @ params[f"{name}.w"] + params[f"{name}.b"]
 
     x = rows(params["tok_emb"], ids.reshape(-1)[tokens]) + rows(params["pos_emb"], pos)
     x = dropout(x, rate, rng)
     for layer in range(config.n_layers):
         p = f"layer{layer}"
-        attn = _attention(x, params, f"{p}.attn", config, (B, L), slots, attn_bias, rng)
-        x = _layer_norm(x + dropout(attn, rate, rng),
-                        params[f"{p}.ln1.gamma"], params[f"{p}.ln1.beta"])
-        hidden = (x @ params[f"{p}.ffn.in.w"] + params[f"{p}.ffn.in.b"]).gelu()
-        ffn = hidden @ params[f"{p}.ffn.out.w"] + params[f"{p}.ffn.out.b"]
-        x = _layer_norm(x + dropout(ffn, rate, rng),
-                        params[f"{p}.ln2.gamma"], params[f"{p}.ln2.beta"])
+        q, k, v = (affine(x, f"{p}.attn.{proj}") for proj in "qkv")
+        ctx = attention(q, k, v, lengths, config.n_heads, rate, rng)
+        x = layer_norm(x + dropout(affine(ctx, f"{p}.attn.o"), rate, rng),
+                       params[f"{p}.ln1.gamma"], params[f"{p}.ln1.beta"])
+        ffn = affine(affine(x, f"{p}.ffn.in").gelu(), f"{p}.ffn.out")
+        x = layer_norm(x + dropout(ffn, rate, rng),
+                       params[f"{p}.ln2.gamma"], params[f"{p}.ln2.beta"])
     return x

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from offlang import autodiff
 from offlang.autodiff import (
-    Tensor, _sigmoid, cross_entropy, dropout, gather_rows, lstm, no_grad, prefix_lengths,
-    rows, scatter_rows,
+    ATTENTION_GROUPS, LN_EPS, MASK_NEG, Tensor, _sigmoid, attention, cross_entropy, dropout,
+    gather_rows, layer_norm, lstm, no_grad, prefix_lengths, rows,
 )
 
 
@@ -38,6 +38,78 @@ def check(build_loss, *arrays, tol=1e-7):
 
 
 RNG = np.random.default_rng(42)
+
+
+def scatter_rows(x: Tensor, index: np.ndarray, n_rows: int) -> Tensor:
+    """An (n_rows, ...) array of zeros with the rows of `x` at the distinct
+    positions `index`; the backward gathers them back."""
+    out_data = np.zeros((n_rows,) + x.shape[1:])
+    out_data[index] = x.data
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g[index])
+
+    return Tensor._result(out_data, (x,), backward)
+
+
+def reference_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """The composed layer norm that `layer_norm` replaced."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered ** 2.0).mean(axis=-1, keepdims=True)
+    return centered * (var + LN_EPS) ** -0.5 * gamma + beta
+
+
+def length_groups(lengths) -> list[list[int]]:
+    """The row groups `attention` runs, longest group first: the row
+    indices sorted by length, longest first and stable, cut into
+    ATTENTION_GROUPS runs whose sizes differ by at most one, the larger
+    ones first; groups of PAD-only rows, and empty ones, are left out."""
+    order = sorted(range(len(lengths)), key=lambda b: -lengths[b])
+    n = min(ATTENTION_GROUPS, len(order))
+    sizes = [len(order) // n + (i < len(order) % n) for i in range(n)]
+    cuts = np.cumsum([0] + sizes)
+    groups = [order[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    return [g for g in groups if g and lengths[g[0]] > 0]
+
+
+def grouped_dropout(weights: Tensor, lengths, rate, rng) -> Tensor:
+    """Dropout on padded (B, H, L, L) attention weights with the masks
+    `attention` draws: one per group of `length_groups`, in their order, at
+    (rows, H, Lg, Lg), Lg the group's longest row, placed at the group's
+    rows and first Lg positions. Every other entry is kept unscaled."""
+    if rng is None or rate <= 0.0:
+        return weights
+    scale = np.ones(weights.shape)
+    for group in length_groups(lengths):
+        width = lengths[group[0]]
+        shape = (len(group), weights.shape[1], width, width)
+        scale[group, :, :width, :width] = (rng.random(shape) >= rate) / (1.0 - rate)
+    return weights * Tensor(scale)
+
+
+def reference_attention(q, k, v, lengths, n_heads, rate, rng) -> Tensor:
+    """The composed attention that `attention` replaced: the packed Q, K
+    and V rows scattered into a (B, L) layout, L the longest row, scores
+    over it with PAD keys masked, softmax, dropout, weights @ V and each
+    token's context gathered back, all Tensor ops."""
+    lengths = np.asarray(lengths)
+    B, (_, d) = len(lengths), q.shape
+    dh = d // n_heads
+    width = max(int(lengths.max(initial=0)), 1)
+    real = np.arange(width) < lengths[:, None]
+    slots = np.flatnonzero(real)
+
+    def heads(t):
+        return scatter_rows(t, slots, B * width).reshape(
+            B, width, n_heads, dh).transpose(0, 2, 1, 3)
+
+    scores = heads(q) @ heads(k).transpose(0, 1, 3, 2) * (1.0 / np.sqrt(dh))
+    scores = scores + Tensor((1.0 - real)[:, None, None, :] * MASK_NEG)
+    weights = grouped_dropout(scores.softmax(), lengths, rate, rng)
+    ctx = (weights @ heads(v)).transpose(0, 2, 1, 3).reshape(B * width, d)
+    return gather_rows(ctx, slots)
 
 
 class TestOps:
@@ -407,6 +479,111 @@ class TestPacked:
     def test_prefix_lengths(self):
         assert prefix_lengths(ragged_mask([0, 3, 1, 4], 4)).tolist() == [0, 3, 1, 4]
         assert prefix_lengths(np.array([[True, False]])).tolist() == [1]
+
+
+@st.composite
+def attention_cases(draw):
+    """Row lengths for `attention`, rows up to 9 tokens: a batch of one,
+    rows all of one length, CLS-only rows, or more rows than groups with
+    any lengths, PAD-only rows included; a head count and a seed."""
+    width = draw(st.integers(1, 9))
+    lengths = draw(st.one_of(
+        st.lists(st.integers(0, width), min_size=1, max_size=1),
+        st.integers(1, 3 * ATTENTION_GROUPS).map(lambda b: [width] * b),
+        st.integers(1, 3 * ATTENTION_GROUPS).map(lambda b: [1] * b),
+        st.lists(st.integers(0, width), min_size=ATTENTION_GROUPS + 1,
+                 max_size=3 * ATTENTION_GROUPS),
+    ))
+    return np.array(lengths), draw(st.sampled_from([1, 2, 3])), draw(st.integers(0, 2**32))
+
+
+def attention_run(op, arrays, lengths, n_heads, rate, seed):
+    """op's output, the gradients of q, k and v under a random weighting,
+    and the generator's next draw (None without dropout)."""
+    q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+    rng = np.random.default_rng(seed) if rate else None
+    out = op(q, k, v, lengths, n_heads, rate, rng)
+    (out * Tensor(np.random.default_rng(seed + 1).normal(size=out.shape))).sum().backward()
+    return out.data, [t.grad for t in (q, k, v)], rng.random() if rng else None
+
+
+RAGGED = np.array([3, 0, 1, 4, 4, 2])           # more rows than groups, one all PAD
+
+
+class TestAttention:
+    @settings(max_examples=80, deadline=None)
+    @given(attention_cases(), st.sampled_from([0.0, 0.3]))
+    def test_matches_composed_reference(self, case, rate):
+        lengths, n_heads, seed = case
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(size=(int(lengths.sum()), 6)) for _ in range(3)]
+        out, grads, after = attention_run(attention, arrays, lengths, n_heads, rate, seed)
+        ref, ref_grads, ref_after = attention_run(reference_attention, arrays, lengths,
+                                                  n_heads, rate, seed)
+        assert np.abs(out - ref).max(initial=0.0) <= 1e-13
+        assert after == ref_after                 # the same draws, in the same order
+        for grad, ref_grad in zip(grads, ref_grads):
+            bound = 1e-12 * np.abs(ref_grad).max(initial=0.0)
+            assert np.abs(grad - ref_grad).max(initial=0.0) <= bound
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("lengths", [RAGGED, np.array([5]), np.array([2, 2, 2])])
+    def test_finite_differences(self, lengths, rate):
+        q, k, v = (RNG.normal(size=(int(lengths.sum()), 6)) for _ in range(3))
+        w = RNG.normal(size=q.shape)
+        check(lambda q, k, v: (attention(q, k, v, lengths, 2, rate,
+                                         np.random.default_rng(3)) * Tensor(w)).sum(),
+              q, k, v)
+
+    def test_rows_attend_within_themselves(self):
+        q, k, v = (RNG.normal(size=(int(RAGGED.sum()), 6)) for _ in range(3))
+        out = attention(Tensor(q), Tensor(k), Tensor(v), RAGGED, 2, 0.0, None).data
+        starts = np.cumsum(RAGGED) - RAGGED
+        for start, n in zip(starts, RAGGED):
+            rows_ = slice(start, start + n)
+            alone = attention(Tensor(q[rows_]), Tensor(k[rows_]), Tensor(v[rows_]),
+                              np.array([n]), 2, 0.0, None).data
+            assert np.abs(out[rows_] - alone).max(initial=0.0) <= 1e-15
+
+    def test_no_graph_under_no_grad(self):
+        q, k, v = (Tensor(RNG.normal(size=(14, 6)), requires_grad=True) for _ in range(3))
+        with no_grad():
+            out = attention(q, k, v, RAGGED, 2, 0.0, None)
+        assert out._backward is None and out._parents == () and not out.requires_grad
+        assert np.array_equal(out.data, attention(q, k, v, RAGGED, 2, 0.0, None).data)
+
+    @pytest.mark.parametrize("shape", [(13, 6), (15, 6), (14,)])
+    def test_rows_must_match_lengths(self, shape):
+        x = Tensor(np.zeros(shape))
+        with pytest.raises(ValueError, match="one per real token"):
+            attention(x, x, x, RAGGED, 2, 0.0, None)
+
+
+class TestLayerNorm:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=2), st.integers(1, 9),
+           st.integers(0, 2**32))
+    def test_bit_identical_to_composed_reference(self, lead, width, seed):
+        """Same expressions in the same order: the forward and every
+        gradient are bit-identical, not only close."""
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(size=tuple(lead) + (width,)) * 3.0,
+                  rng.normal(size=width), rng.normal(size=width)]
+        weights = Tensor(rng.normal(size=tuple(lead) + (width,)))
+        results = []
+        for op in (layer_norm, reference_layer_norm):
+            tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = op(*tensors)
+            (out * weights).sum().backward()
+            results.append([out.data] + [t.grad for t in tensors])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    def test_finite_differences(self):
+        x = RNG.normal(size=(5, 6)) * 2.0
+        w = RNG.normal(size=(5, 6))
+        check(lambda x, g, b: (layer_norm(x, g, b) * Tensor(w)).sum(),
+              x, RNG.normal(size=6), RNG.normal(size=6))
 
 
 class TestNoGrad:

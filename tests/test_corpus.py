@@ -1,9 +1,13 @@
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from offlang.corpus import (
+    LABELED_HEADER,
+    SCORED_HEADER,
     CorpusFormatError,
     HierarchyError,
     LabelTriple,
@@ -129,6 +133,15 @@ class TestLoadScored:
         with pytest.raises(CorpusFormatError, match=":2:"):
             load_scored(path, context)
 
+    @pytest.mark.parametrize("std", ["nan", "inf", "-inf", "-0.1"])
+    def test_bad_std(self, tmp_path, context, std):
+        path = tmp_path / "solid.tsv"
+        path.write_text(self.HEADER + f"1\thello\t0.5\t0.1\n2\tbye\t0.5\t{std}\n",
+                        encoding="utf-8")
+        message = f"solid.tsv:3: std_conf {float(std)} not finite and nonnegative"
+        with pytest.raises(CorpusFormatError, match=re.escape(message)):
+            load_scored(path, context)
+
     def test_empty_after_header(self, tmp_path, context):
         path = tmp_path / "solid.tsv"
         path.write_text(self.HEADER, encoding="utf-8")
@@ -197,3 +210,12 @@ class TestSplit:
     def test_too_small(self):
         with pytest.raises(ValueError):
             split([1], (0.5, 0.5), seed=0)
+
+
+def test_readme_names_the_loader_headers():
+    """The README's column lines are the headers the loaders require."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = " ".join(readme.split())
+    for kind, header in (("Labeled", LABELED_HEADER), ("scored", SCORED_HEADER)):
+        columns = re.search(rf"{kind} TSVs have (?:columns )?`([^`]*)`", readme)
+        assert columns and columns[1].split(", ") == header, kind

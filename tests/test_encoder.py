@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from offlang.autodiff import Tensor, rows
-from offlang.encoder import MASK_NEG, EncoderConfig, _layer_norm, encode, init_encoder
+from offlang.autodiff import MASK_NEG, Tensor, rows
+from offlang.encoder import EncoderConfig, encode, init_encoder
+from test_autodiff import grouped_dropout, reference_layer_norm
 
 
 def placed_dropout(x, rate, rng, where):
@@ -17,7 +18,7 @@ def placed_dropout(x, rate, rng, where):
     return x * Tensor(scale)
 
 
-def reference_attention(x, params, prefix, config, attn_bias, rng, longest):
+def padded_attention(x, params, prefix, config, lengths, rng):
     B, T, D = x.shape
     H = config.n_heads
     dh = D // H
@@ -28,9 +29,8 @@ def reference_attention(x, params, prefix, config, attn_bias, rng, longest):
 
     q, k, v = heads("q"), heads("k"), heads("v")
     scores = q @ k.transpose(0, 1, 3, 2) * (1.0 / np.sqrt(dh))
-    scores = scores + Tensor(attn_bias)
-    weights = placed_dropout(scores.softmax(), config.dropout_rate, rng,
-                             np.s_[:, :, :longest, :longest])
+    scores = scores + Tensor((np.arange(T) >= lengths[:, None])[:, None, None, :] * MASK_NEG)
+    weights = grouped_dropout(scores.softmax(), lengths, config.dropout_rate, rng)
     ctx = (weights @ v).transpose(0, 2, 1, 3).reshape(B, T, D)
     return ctx @ params[f"{prefix}.o.w"] + params[f"{prefix}.o.b"]
 
@@ -39,27 +39,25 @@ def reference_encode(params, config, ids, mask, rng=None):
     """The padded encoder that `encode` replaced: every position of the
     (B, T) batch runs through every layer, PAD keys are masked, and the
     output is (B, T, d). Its real positions are `encode`'s rows. Dropout
-    masks come from `rng` in `encode`'s order and at its shapes, (N, d) for
-    token layers and (B, H, L, L) for attention weights, placed at their
-    real positions."""
+    masks come from `rng` in `encode`'s order and at its shapes: (N, d) for
+    token layers, placed at their real positions, and one per length group
+    of `attention`, in group order (see `grouped_dropout`)."""
     ids = np.asarray(ids, dtype=np.int64)
-    mask = np.asarray(mask, dtype=np.float64)
-    B, T = ids.shape
-    real = mask.astype(bool)
-    longest = max(int(real.sum(axis=1).max(initial=0)), 1)
+    real = np.asarray(mask).astype(bool)
+    lengths = real.sum(axis=1)
+    T = ids.shape[1]
     rate = config.dropout_rate
     x = rows(params["tok_emb"], ids) + params["pos_emb"][:T]
     x = placed_dropout(x, rate, rng, real)
-    attn_bias = (1.0 - mask)[:, None, None, :] * MASK_NEG  # (B,1,1,T)
     for layer in range(config.n_layers):
         p = f"layer{layer}"
-        attn = reference_attention(x, params, f"{p}.attn", config, attn_bias, rng, longest)
-        x = _layer_norm(x + placed_dropout(attn, rate, rng, real),
-                        params[f"{p}.ln1.gamma"], params[f"{p}.ln1.beta"])
+        attn = padded_attention(x, params, f"{p}.attn", config, lengths, rng)
+        x = reference_layer_norm(x + placed_dropout(attn, rate, rng, real),
+                                 params[f"{p}.ln1.gamma"], params[f"{p}.ln1.beta"])
         hidden = (x @ params[f"{p}.ffn.in.w"] + params[f"{p}.ffn.in.b"]).gelu()
         ffn = hidden @ params[f"{p}.ffn.out.w"] + params[f"{p}.ffn.out.b"]
-        x = _layer_norm(x + placed_dropout(ffn, rate, rng, real),
-                        params[f"{p}.ln2.gamma"], params[f"{p}.ln2.beta"])
+        x = reference_layer_norm(x + placed_dropout(ffn, rate, rng, real),
+                                 params[f"{p}.ln2.gamma"], params[f"{p}.ln2.beta"])
     return x
 
 

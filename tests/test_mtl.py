@@ -222,6 +222,30 @@ class TestPackedMatchesPadded:
         assert labels[0] == labels[1]
 
 
+    def test_grouping_never_leaks_between_rows(self):
+        """Attention groups rows by length, so in a shuffled ragged batch a
+        tweet shares its score block with others. Each tweet still gets
+        the labels it gets alone, and probabilities within 4 ulp of 1.0:
+        only the summation order can differ."""
+        words = " ".join(e.tweet.text for e in make_hierarchical_corpus(60, seed=11)).split()
+        vocab = build_vocab([" ".join(words)])
+        rng = np.random.default_rng(0)
+        texts = [" ".join(words[i:i + n]) for i, n in
+                 zip(rng.permutation(len(words) - 24)[:60], rng.integers(0, 24, 60))]
+        cfg = EncoderConfig(d_model=16, n_layers=2, n_heads=2, d_ffn=32, max_len=24,
+                            vocab_size=len(vocab), dropout_rate=0.0)
+        model = MtlModel(cfg, HeadConfig(hidden=16), seed=5)
+        ids, mask = encode_batch(texts, vocab, cfg.max_len)
+        assert len(set(mask.sum(axis=1))) > 10       # ragged: CLS-only rows to 24 tokens
+        batch = model.forward_mtl(ids, mask)
+        for i in range(len(texts)):
+            alone = model.forward_mtl(ids[i:i + 1], mask[i:i + 1])
+            for task in TASKS:
+                assert batch.label(task)[i] == alone.label(task)[0]
+                gap = np.abs(batch.probs(task)[i] - alone.probs(task)[0]).max()
+                assert gap <= 4 * np.finfo(np.float64).eps, (i, task, gap)
+
+
 class TestLoss:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
