@@ -13,10 +13,12 @@ build no graph, which is how inference runs.
 Padded batches carry a (B, T) mask whose rows are real tokens (1) first,
 then PAD (0); `prefix_lengths` enforces that. Execution is packed: token
 activations are (N, ...) rows, one per real token in row-major order.
-`lstm` reads them as such and steps only the rows still running;
-`attention` reads them in a few length-sorted groups of rows, each padded
-only to its own longest row, and writes each token's context back to its
-row.
+`lstm` reads them as such, reorders them time-major (each step's live rows
+one contiguous run), projects them for every head with one GEMM and steps
+only the rows still running, in place; under `no_grad()` it keeps only the
+running state. `attention` reads them in a few length-sorted groups of
+rows, each padded only to its own longest row, and writes each token's
+context back to its row.
 """
 
 from __future__ import annotations
@@ -489,10 +491,21 @@ def lstm(x: Tensor, mask: np.ndarray, heads: list) -> Tensor:
     first, so the rows still running at step t are a prefix of that order,
     and one time loop steps only that prefix, for every head at once. A
     row's state is left as it was after its last real token, and a row
-    without one keeps the zero state. The backward is hand-written BPTT
-    over the same prefixes. Buffers hold one entry per real (row, step)
-    pair, time-major; each entry reads its token's row of x, and dx is
-    written back through the same permutation.
+    without one keeps the zero state.
+
+    Entries, one per real (row, step) pair, are time-major: step t's live
+    rows are one contiguous run of entries. The input projection of every
+    entry and head is one GEMM into an (N, K, 4h) buffer, computed before
+    the loop, so a step adds only h @ wh. A step writes in place into
+    (K, B, ...) state and gate arrays, whose live-prefix views are rebuilt
+    only when the live row count changes. A sigmoid gate is evaluated as
+    tanh(z / 2) / 2 + 1 / 2, so one tanh covers all four gate blocks.
+    Inside `no_grad()` only the running state and the input projection
+    exist. With a graph, each step copies its gate activations over its own
+    entries of the input projection and its cell and tanh(cell) into
+    time-major buffers; the hand-written BPTT walks the same prefixes
+    backwards over them, and dx and the stacked wx gradient are one GEMM
+    each.
     """
     K = len(heads)
     h = heads[0][2].shape[0]
@@ -505,84 +518,123 @@ def lstm(x: Tensor, mask: np.ndarray, heads: list) -> Tensor:
     order = np.argsort(-lengths, kind="stable")
     sizes = np.count_nonzero(lengths[:, None] > np.arange(steps), axis=0)   # live rows per step
     starts = np.concatenate(([0], np.cumsum(sizes)))    # step t: entries starts[t]:starts[t + 1]
+    bounds = starts.tolist()
     step_of = np.repeat(np.arange(steps), sizes)
-    row_of = order[np.arange(n) - starts[step_of]]
+    rank = np.arange(n) - starts[step_of]              # place in its step's live prefix
+    row_of = order[rank]
     token_of = np.cumsum(lengths)[row_of] - lengths[row_of] + step_of   # its row of x
-    x_packed = x.data[token_of]                   # (n, d), time-major
-    wh_all = np.stack([wh.data for _, _, wh, _ in heads])       # (K, h, 4h)
-    bh_all = np.stack([bh.data for _, _, _, bh in heads])[:, None]    # (K, 1, 4h)
+    x_packed = x.data[token_of]                        # (n, d), time-major
+    wx_cat = np.concatenate([wx.data for wx, _, _, _ in heads], axis=1)   # (d, K * 4h)
+    wh_all = np.stack([wh.data for _, _, wh, _ in heads])                 # (K, h, 4h)
+    xg = x_packed @ wx_cat
+    xg += np.concatenate([bx.data + bh.data for _, bx, _, bh in heads])
+    xg = xg.reshape(n, K, 4 * h)
+    xg_k = xg.transpose(1, 0, 2)                       # (K, n, 4h) view
+    # sigmoid(z) = tanh(z / 2) / 2 + 1 / 2 on the i, f and o blocks, tanh(z)
+    # on g; full-shape factors keep the in-place ops free of broadcasting
+    scale = np.full((K, B, 4 * h), 0.5)
+    scale[:, :, 2 * h:3 * h] = 1.0
+    shift = 1.0 - scale
 
-    hs = np.zeros((K, n, h))                      # state before each entry's step
-    cs = np.zeros((K, n, h))
-    acts = np.empty((K, n, 4, h))                 # sigmoid i, f, o; tanh g
-    tcs = np.empty((K, n, h))                     # tanh of the new cell
-    last = np.zeros((K, B, h))                    # final states, longest row first
-    # each head's input projection goes straight into the activation buffer;
-    # step t reads its entries before overwriting them with the activations
-    xg = acts.reshape(K, n, 4 * h)
-    for k, (wx, bx, _, _) in enumerate(heads):
-        np.matmul(x_packed, wx.data, out=xg[k])
-        xg[k] += bx.data
-    i_g, f_g, g_g, o_g = (acts[:, :, k] for k in range(4))
+    parents = (x,) + tuple(p for head in heads for p in head)
+    keep_graph = _grad_enabled.get() and any(p.requires_grad for p in parents)
+    if keep_graph:
+        cells = np.empty((n, K, h))                    # each entry's new cell
+        tanh_cells = np.empty((n, K, h))
+        cells_k, tanh_cells_k = cells.transpose(1, 0, 2), tanh_cells.transpose(1, 0, 2)
+    # running state, longest row first; a row past the live prefix keeps the
+    # state of its last real token
+    hs = np.zeros((K, B, h))
+    cs = np.zeros((K, B, h))
+    gates = np.empty((K, B, 4 * h))
+    tmp = np.empty((K, B, h))
+    live = -1
     for t in range(steps):
-        lo, hi = starts[t], starts[t + 1]
-        live = hi - lo
-        kept = sizes[t + 1] if t + 1 < steps else 0      # rows that run on to step t + 1
-        gates = xg[:, lo:hi] + hs[:, lo:hi] @ wh_all + bh_all
-        acts[:, lo:hi] = _sigmoid(gates).reshape(K, live, 4, h)
-        g_g[:, lo:hi] = np.tanh(gates[:, :, 2 * h:3 * h])
-        c_new = f_g[:, lo:hi] * cs[:, lo:hi] + i_g[:, lo:hi] * g_g[:, lo:hi]
-        tcs[:, lo:hi] = np.tanh(c_new)
-        h_new = o_g[:, lo:hi] * tcs[:, lo:hi]
-        cs[:, hi:hi + kept] = c_new[:, :kept]
-        hs[:, hi:hi + kept] = h_new[:, :kept]
-        last[:, kept:live] = h_new[:, kept:]          # rows whose last token is at t
-    out_data = np.empty_like(last)
-    out_data[:, order] = last
+        lo, hi = bounds[t], bounds[t + 1]
+        if hi - lo != live:
+            live = hi - lo
+            h_v, c_v, g_v, t_v = hs[:, :live], cs[:, :live], gates[:, :live], tmp[:, :live]
+            i_v, f_v, gg_v, o_v = (g_v[:, :, j * h:(j + 1) * h] for j in range(4))
+            s_v, sh_v = scale[:, :live], shift[:, :live]
+        np.matmul(h_v, wh_all, out=g_v)
+        g_v += xg_k[:, lo:hi]
+        g_v *= s_v
+        np.tanh(g_v, out=g_v)
+        g_v *= s_v
+        g_v += sh_v
+        c_v *= f_v
+        np.multiply(i_v, gg_v, out=t_v)
+        c_v += t_v
+        np.tanh(c_v, out=t_v)
+        np.multiply(o_v, t_v, out=h_v)
+        if keep_graph:
+            xg_k[:, lo:hi] = g_v                       # this step's inputs are spent
+            cells_k[:, lo:hi] = c_v
+            tanh_cells_k[:, lo:hi] = t_v
+    out_data = np.empty_like(hs)
+    out_data[:, order] = hs
 
     def backward(g):
+        acts = xg.reshape(n, K, 4, h)
+        i_a, f_a, g_a, o_a = (acts[:, :, j] for j in range(4))
+        # an entry's previous state is that of the entry of the same rank one
+        # step earlier; entries of step 0 start from zero
+        first = bounds[1] if steps else 0
+        prev = starts[step_of[first:] - 1] + rank[first:]
+        c_prev = np.zeros((n, K, h))
+        c_prev[first:] = cells[prev]
+        h_prev = np.zeros((n, K, h))
+        h_prev[first:] = o_a[prev] * tanh_cells[prev]
         # d gate pre-activation / d c_new for i, f, g and / d h_new for o,
         # for every entry at once; step t then scales its own entries into
         # d gate pre-activation, so the buffer ends as the gate gradient
         local = np.empty_like(acts)
-        local[:, :, 0] = g_g * i_g * (1.0 - i_g)
-        local[:, :, 1] = cs * f_g * (1.0 - f_g)
-        local[:, :, 2] = i_g * (1.0 - g_g * g_g)
-        local[:, :, 3] = tcs * o_g * (1.0 - o_g)
-        dc_dh = o_g * (1.0 - tcs * tcs)           # d c_new / d h_new
+        local[:, :, 0] = g_a * i_a * (1.0 - i_a)
+        local[:, :, 1] = c_prev * f_a * (1.0 - f_a)
+        local[:, :, 2] = i_a * (1.0 - g_a * g_a)
+        local[:, :, 3] = tanh_cells * o_a * (1.0 - o_a)
+        dc_dh = o_a * (1.0 - tanh_cells * tanh_cells)  # d c_new / d h_new
+        local_k = local.transpose(1, 0, 2, 3)          # (K, n, 4, h) views
+        dxg = local.reshape(n, K * 4 * h)
+        dxg_k = local.reshape(n, K, 4 * h).transpose(1, 0, 2)
+        dc_dh_k, f_k = dc_dh.transpose(1, 0, 2), f_a.transpose(1, 0, 2)
         wh_t = wh_all.transpose(0, 2, 1)
-        dxg = local.reshape(K, n, 4 * h)
 
-        dh = g[:, order]                          # a row's gradient waits for its last step
+        dh = g[:, order]                               # a row's gradient waits for its last step
         dc = np.zeros((K, B, h))
+        tmp = np.empty((K, B, h))
+        live = -1
         for t in reversed(range(steps)):
-            lo, hi = starts[t], starts[t + 1]
-            live = hi - lo
-            dh_new = dh[:, :live]
-            dc_new = dc[:, :live] + dh_new * dc_dh[:, lo:hi]
-            local[:, lo:hi, :3] *= dc_new[:, :, None]
-            local[:, lo:hi, 3] *= dh_new
-            dc[:, :live] = dc_new * f_g[:, lo:hi]
-            dh[:, :live] = dxg[:, lo:hi] @ wh_t
+            lo, hi = bounds[t], bounds[t + 1]
+            if hi - lo != live:
+                live = hi - lo
+                dh_v, dc_v, t_v = dh[:, :live], dc[:, :live], tmp[:, :live]
+                dc_v3 = dc_v[:, :, None]
+            d_local = local_k[:, lo:hi]
+            np.multiply(dh_v, dc_dh_k[:, lo:hi], out=t_v)
+            dc_v += t_v                                # d c_new
+            d_local[:, :, :3] *= dc_v3
+            d_local[:, :, 3] *= dh_v
+            dc_v *= f_k[:, lo:hi]                      # d c before the step
+            np.matmul(dxg_k[:, lo:hi], wh_t, out=dh_v)  # d h before the step
 
         if x.requires_grad:
-            dx_packed = np.zeros_like(x_packed)
-            for k, (wx, _, _, _) in enumerate(heads):
-                dx_packed += dxg[k] @ wx.data.T
-            dx = np.empty_like(dx_packed)
-            dx[token_of] = dx_packed              # a permutation: every row is written
+            dx = np.empty_like(x.data)
+            dx[token_of] = dxg @ wx_cat.T              # a permutation: every row is written
             x._accumulate(dx)
+        dwx = x_packed.T @ dxg                         # (d, K * 4h)
+        dwh = h_prev.transpose(1, 2, 0) @ dxg_k        # (K, h, 4h)
+        db = dxg.sum(axis=0)
         for k, (wx, bx, wh, bh) in enumerate(heads):
+            cols = slice(4 * h * k, 4 * h * (k + 1))
             if wx.requires_grad:
-                wx._accumulate(x_packed.T @ dxg[k])
+                wx._accumulate(dwx[:, cols])
             if wh.requires_grad:
-                wh._accumulate(hs[k].T @ dxg[k])
-            db = dxg[k].sum(axis=0)
+                wh._accumulate(dwh[k])
             for bias in (bx, bh):
                 if bias.requires_grad:
-                    bias._accumulate(db)
+                    bias._accumulate(db[cols])
 
-    parents = (x,) + tuple(p for head in heads for p in head)
     return Tensor._result(out_data, parents, backward)
 
 

@@ -150,6 +150,10 @@ class MtlModel:
         for name, arr in arrays.items():
             if arr.shape != self.params[name].data.shape:
                 raise ValueError(f"shape mismatch for {name}")
+            if not np.issubdtype(arr.dtype, np.floating):
+                # astype would drop an imaginary part without an error
+                raise ValueError(f"parameter {name} holds {arr.dtype} values, "
+                                 f"not real floating point")
             self.params[name].data = arr.astype(np.float64).copy()
 
     def zero_grad(self) -> None:

@@ -105,6 +105,7 @@ class UnigramTable:
     # `log_prob`'s terms, computed once: known words, and unknown words' base
     log_probs: dict[str, float] = field(init=False, repr=False, compare=False)
     unknown_log_prob: float = field(init=False, repr=False, compare=False)
+    longest: int = field(init=False, repr=False, compare=False)   # characters of the longest word
 
     def __post_init__(self):
         for word, count in self.counts.items():
@@ -115,6 +116,7 @@ class UnigramTable:
             word: math.log10(count / self.total) for word, count in self.counts.items()
         })
         object.__setattr__(self, "unknown_log_prob", -math.log10(max(self.total, 1)))
+        object.__setattr__(self, "longest", max(map(len, self.counts), default=0))
 
     @classmethod
     def load(cls, path) -> "UnigramTable":
@@ -205,30 +207,42 @@ def segment_hashtag(tag: str, unigrams: UnigramTable) -> str:
 _TIE_EPS = 1e-12
 
 
-def _better(cand, best):
-    """Compare (score, n_words, words) segmentation candidates."""
-    if best is None:
-        return True
-    if cand[0] > best[0] + _TIE_EPS:
-        return True
-    if cand[0] < best[0] - _TIE_EPS:
-        return False
-    return (cand[1], cand[2]) < (best[1], best[2])
-
-
 def _dp_segment(text: str, unigrams: UnigramTable) -> tuple[str, ...]:
+    """The words of the best segmentation of `text`: the largest summed
+    unigram log-probability, scores within _TIE_EPS tied, ties broken by
+    fewest words, then by the lexicographically smaller word sequence.
+    Candidates for the last word of each prefix are tried in order of their
+    start, and each prefix keeps only its best score, word count and the
+    start of its last word; a tie rebuilds the two word sequences it
+    compares. A candidate longer than the table's longest word is unknown
+    without a lookup."""
     n = len(text)
-    # best[i]: (score, n_words, words) over text[:i]
-    best: list = [None] * (n + 1)
-    best[0] = (0.0, 0, ())
+    known, unknown, longest = unigrams.log_probs, unigrams.unknown_log_prob, unigrams.longest
+    score, count, back = [0.0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+
+    def words(end: int) -> list[str]:
+        out = []
+        while end:
+            out.append(text[back[end]:end])
+            end = back[end]
+        return out[::-1]
+
     for end in range(1, n + 1):
+        best, best_start = -math.inf, 0
         for start in range(end):
-            prev = best[start]
-            word = text[start:end]
-            cand = (prev[0] + unigrams.log_prob(word), prev[1] + 1, prev[2] + (word,))
-            if _better(cand, best[end]):
-                best[end] = cand
-    return best[n][2]
+            length = end - start
+            log_prob = known.get(text[start:end]) if length <= longest else None
+            cand = score[start] + (unknown - length if log_prob is None else log_prob)
+            if cand <= best + _TIE_EPS:
+                if cand < best - _TIE_EPS or count[start] > count[best_start]:
+                    continue
+                if (count[start] == count[best_start]
+                        and words(start) + [text[start:end]]
+                        >= words(best_start) + [text[best_start:end]]):
+                    continue
+            best, best_start = cand, start
+        score[end], count[end], back[end] = best, count[best_start] + 1, best_start
+    return tuple(words(n))
 
 
 def collapse_mentions(text: str) -> str:
@@ -259,17 +273,21 @@ _HASHTAG = re.compile(r"#(\w+)")
 
 def normalize(tweet: RawTweet, table: EmojiTable, unigrams: UnigramTable) -> NormalizedTweet:
     """Apply the full preprocessing pipeline in its fixed step order."""
-    # original-case hashtag bodies drive the camel-case split
-    segmented = {
-        body.lower(): segment_hashtag(body, unigrams)
-        for body in _HASHTAG.findall(tweet.text)
-    }
+    # each hashtag is segmented from its own original-case body, which drives
+    # the camel-case split: the bodies that lowercase to a hashtag of the
+    # lowercased text, in order of occurrence
+    bodies: dict[str, list[str]] = {}
+    for body in _HASHTAG.findall(tweet.text):
+        bodies.setdefault(body.lower(), []).append(body)
+
+    def segment(match: re.Match) -> str:
+        # a body not seen in the original text is segmented as it stands
+        originals = bodies.get(match.group(1))
+        return segment_hashtag(originals.pop(0) if originals else match.group(1), unigrams)
 
     text = tweet.text.lower().strip()
     text = emoji_to_words(text, table)
-    # a body not seen in the original text is segmented on demand
-    text = _HASHTAG.sub(lambda m: segmented[m.group(1)] if m.group(1) in segmented
-                        else segment_hashtag(m.group(1), unigrams), text)
+    text = _HASHTAG.sub(segment, text)
     text = collapse_mentions(text)
     text = substitute_rare(text)
     return NormalizedTweet(id=tweet.id, text=text, steps_applied=STEP_ORDER)

@@ -1,6 +1,7 @@
 """Finite-difference checks for every op in the autodiff core."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -436,26 +437,39 @@ def lstm_cases(draw):
     return ragged_mask(lengths, width), draw(st.integers(1, 3)), draw(st.integers(0, 2**32))
 
 
+def no_grad_lstm(arrays, mask):
+    """`lstm`'s output under `no_grad()` on `multi_inputs`-style flat arrays."""
+    ws = [Tensor(a) for a in arrays[1:]]
+    with no_grad():
+        return lstm(Tensor(arrays[0]), mask, [ws[i:i + 4] for i in range(0, len(ws), 4)]).data
+
+
+def check_against_reference(mask, k, seed):
+    """`lstm` with k random heads on `mask`: the output under `no_grad()` is
+    bit-identical to the graph's, within 1e-15 absolute of `reference_lstm`,
+    and every gradient within 1e-12 relative of the reference's."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(int(mask.sum()), D))] + [
+        a for _ in range(k) for a in (rng.normal(size=(D, 4 * H)) * 0.5,
+                                      rng.normal(size=4 * H) * 0.5,
+                                      rng.normal(size=(H, 4 * H)) * 0.5,
+                                      rng.normal(size=4 * H) * 0.5)]
+    weights = rng.normal(size=(k, len(mask), H))
+    out, grads = multi_grads(arrays, mask, weights, reference=False)
+    ref_out, ref_grads = multi_grads(arrays, mask, weights, reference=True)
+    assert np.array_equal(no_grad_lstm(arrays, mask), out)
+    assert np.abs(out - ref_out).max() <= 1e-15
+    for i, (g, ref) in enumerate(zip(grads, ref_grads)):
+        # an all-PAD mask builds no graph and packs x to zero rows
+        ref = np.zeros_like(g) if ref is None else ref
+        assert np.abs(g - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0), i
+
+
 class TestPacked:
     @settings(max_examples=60, deadline=None)
     @given(lstm_cases())
     def test_lstm_matches_reference_on_ragged_masks(self, case):
-        mask, k, seed = case
-        rng = np.random.default_rng(seed)
-        batch, width = mask.shape
-        arrays = [rng.normal(size=(int(mask.sum()), D))] + [
-            a for _ in range(k) for a in (rng.normal(size=(D, 4 * H)) * 0.5,
-                                          rng.normal(size=4 * H) * 0.5,
-                                          rng.normal(size=(H, 4 * H)) * 0.5,
-                                          rng.normal(size=4 * H) * 0.5)]
-        weights = rng.normal(size=(k, batch, H))
-        out, grads = multi_grads(arrays, mask, weights, reference=False)
-        ref_out, ref_grads = multi_grads(arrays, mask, weights, reference=True)
-        assert np.abs(out - ref_out).max() <= 1e-15
-        for i, (g, ref) in enumerate(zip(grads, ref_grads)):
-            # an all-PAD mask builds no graph and packs x to zero rows
-            ref = np.zeros_like(g) if ref is None else ref
-            assert np.abs(g - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0), i
+        check_against_reference(*case)
 
     @pytest.mark.parametrize("mask", [
         [[1, 0, 1, 0]],                 # a real token after PAD
@@ -479,6 +493,51 @@ class TestPacked:
     def test_prefix_lengths(self):
         assert prefix_lengths(ragged_mask([0, 3, 1, 4], 4)).tolist() == [0, 3, 1, 4]
         assert prefix_lengths(np.array([[True, False]])).tolist() == [1]
+
+
+class TestTimeLoop:
+    """The in-place time loop against the per-step reference, with and
+    without a graph, on one row of every length and on wide ragged batches."""
+
+    def test_one_row_at_every_length_to_64(self):
+        for length in range(1, 65):
+            check_against_reference(ragged_mask([length], 64), k=2, seed=length)
+
+    @pytest.mark.parametrize("lengths", [
+        [64, 1, 33, 0, 17, 64, 2, 50, 63, 5],
+        [3, 64, 64, 64, 1, 1, 40],
+    ])
+    def test_wide_ragged_batches(self, lengths):
+        check_against_reference(ragged_mask(lengths, 64), k=3, seed=len(lengths))
+
+    def test_finite_differences_on_a_ragged_mask(self):
+        # the live prefix shrinks at four different steps, one row is all PAD
+        mask = ragged_mask([2, 0, 5, 1, 5, 3], 6)
+        arrays = multi_inputs(11, k=2, mask=mask)
+        weights = np.random.default_rng(12).normal(size=(2, len(mask), H))
+        check(lambda x, *ws: (lstm(x, mask, [ws[0:4], ws[4:8]]) * Tensor(weights)).sum(),
+              *arrays)
+
+    def test_no_grad_keeps_no_per_entry_state(self):
+        """Under no_grad the only per-entry array is the (N, K, 4h) input
+        projection: no activations, states or cells are kept per entry."""
+        batch, width, d, h, k = 64, 64, 64, 64, 3
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(batch * width, d)))
+        heads = [[Tensor(rng.normal(size=shape) * 0.1)
+                  for shape in ((d, 4 * h), (4 * h,), (h, 4 * h), (4 * h,))]
+                 for _ in range(k)]
+        mask = np.ones((batch, width))
+        projection = batch * width * k * 4 * h * 8
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = lstm(x, mask, heads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (k, batch, h)
+        assert peak < 1.5 * projection, peak / projection
 
 
 @st.composite

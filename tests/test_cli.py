@@ -170,6 +170,25 @@ class TestBadCheckpoint:
                        "loss weights must be finite and nonnegative\n")
 
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.int32])
+    def test_non_real_float_parameter(self, tmp_path, capsys, dtype):
+        vocab = build_vocab(["a b c"])
+        model = MtlModel(EncoderConfig(d_model=8, n_layers=1, n_heads=2, d_ffn=16,
+                                       max_len=8, vocab_size=len(vocab)),
+                         HeadConfig(hidden=4), seed=0)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, vocab, LossWeights())
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["param/head_a.out.b"] = arrays["param/head_a.out.b"].astype(dtype)
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+        assert dispatch(["predict", "--model", str(path), "--text", "a b"]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {path} is not a valid checkpoint: parameter head_a.out.b "
+                       f"holds {np.dtype(dtype)} values, not real floating point\n")
+
+
 class TestPreprocess:
     def test_normalizes_file(self, tmp_path, capsys):
         raw = tmp_path / "raw.tsv"

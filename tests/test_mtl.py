@@ -24,7 +24,7 @@ from offlang.mtl import (
     predict,
 )
 from offlang.synth import make_hierarchical_corpus
-from offlang.textnorm import bundled_emoji_table, bundled_unigram_table
+from offlang.textnorm import RawTweet, bundled_emoji_table, bundled_unigram_table
 from offlang.tokenizer import build_vocab, encode_batch
 from offlang.training import TrainConfig, train
 
@@ -318,6 +318,31 @@ class TestPredict:
         pred = predict(model, vocab, context, text)
         assert tuple(pred.label(task) for task in TASKS) == gold.as_tuple()
 
+    def test_ragged_tweets_match_rows_of_one_batch(self):
+        """One raw tweet at a time through `predict` (B=1, one live row at
+        every LSTM step) against the rows of one ragged `forward_mtl` batch
+        of the same normalized tweets: the same labels, and probabilities
+        within 4 ulp of 1.0."""
+        context = NormContext(emoji=bundled_emoji_table(),
+                              unigrams=bundled_unigram_table())
+        words = " ".join(e.tweet.text for e in make_hierarchical_corpus(40, seed=3)).split()
+        rng = np.random.default_rng(1)
+        raw = ["", "#HappyBirthday @USER @USER URL \U0001F602"] + [
+            " ".join(words[i:i + n]) + (" #thecatsat" if n % 3 == 0 else "")
+            for i, n in zip(rng.permutation(len(words) - 30)[:20], rng.integers(1, 30, 20))]
+        texts = [context.normalize(RawTweet(id="q", text=t)).text for t in raw]
+        vocab = build_vocab(texts)
+        model = tiny_model(len(vocab), seed=4, max_len=32)
+        ids, mask = encode_batch(texts, vocab, 32)
+        assert len(set(mask.sum(axis=1))) > 10
+        batch = model.forward_mtl(ids, mask)
+        for i, text in enumerate(raw):
+            alone = predict(model, vocab, context, text)
+            for task in TASKS:
+                assert alone.label(task) == batch.label(task)[i]
+                gap = np.abs(alone.probs(task) - batch.probs(task)[i]).max()
+                assert gap <= 4 * np.finfo(np.float64).eps, (i, task, gap)
+
     def test_deterministic(self, batch):
         model, vocab, _, _, _ = batch
         context = NormContext(emoji=bundled_emoji_table(),
@@ -389,6 +414,22 @@ class TestCheckpoint:
             "tok_emb": np.full_like(model.params["tok_emb"].data, value)})
         with pytest.raises(ValueError, match=re.escape(
                 f"{bad} is not a valid checkpoint: parameter tok_emb holds a non-finite value")):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.int64])
+    def test_non_real_float_parameter_rejected(self, tmp_path, batch, dtype):
+        model, vocab, _, _, _ = batch
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(good, model, vocab, LossWeights())
+        bad = tmp_path / "bad.ckpt"
+        # an imaginary part of 1 would vanish under astype(float64)
+        values = np.ones_like(model.params["tok_emb"].data, dtype=dtype)
+        if dtype is np.complex128:
+            values += 1j
+        rewrite_checkpoint(good, bad, version=2, extra={"tok_emb": values})
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bad} is not a valid checkpoint: parameter tok_emb holds "
+                f"{np.dtype(dtype)} values, not real floating point")):
             load_checkpoint(bad)
 
     def test_vocabulary_larger_than_vocab_size_rejected(self, tmp_path, batch):

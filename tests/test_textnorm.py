@@ -112,6 +112,16 @@ class TestNormalize:
     def test_decorated_tweets(self, text, expected, emoji, unigrams):
         assert normalize(RawTweet(id="1", text=text), emoji, unigrams).text == expected
 
+    @pytest.mark.parametrize("text", ["#HappyBirthday #happybirthday",
+                                      "#happybirthday #HappyBirthday",
+                                      "#HappyBirthday #HAPPYBIRTHDAY #HappyBirthday"])
+    def test_case_variants_segment_from_their_own_body(self, text, emoji, unigrams):
+        expected = " ".join(normalize(RawTweet(id="1", text=tag), emoji, unigrams).text
+                            for tag in text.split())
+        assert normalize(RawTweet(id="1", text=text), emoji, unigrams).text == expected
+        assert normalize(RawTweet(id="1", text="#HappyBirthday"), emoji,
+                         unigrams).text == "happy birthday"
+
     def test_each_hashtag_segmented_once(self, emoji, unigrams, monkeypatch):
         calls = []
 
