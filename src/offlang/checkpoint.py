@@ -95,7 +95,9 @@ def _config(cls, section):
 
 
 def load_checkpoint(path) -> tuple[MtlModel, Vocabulary, LossWeights]:
-    """Read a checkpoint written by `save_checkpoint`.
+    """Read a checkpoint written by `save_checkpoint`. The model is built
+    straight from the stored arrays, checked against
+    `mtl.parameter_layout`; no parameters are drawn.
 
     A missing or unreadable file raises OSError. Any other file that is not
     a valid checkpoint raises one ValueError that names the path: among
@@ -121,9 +123,8 @@ def load_checkpoint(path) -> tuple[MtlModel, Vocabulary, LossWeights]:
         if meta["version"] == 1:
             arrays.pop("baseline.out.w", None)
             arrays.pop("baseline.out.b", None)
-        model = MtlModel(_config(EncoderConfig, meta["encoder"]),
-                         _config(HeadConfig, meta["head"]), seed=0)
-        model.load_state_arrays(arrays)
+        model = MtlModel.from_arrays(_config(EncoderConfig, meta["encoder"]),
+                                     _config(HeadConfig, meta["head"]), arrays)
         for name, tensor in model.params.items():
             if not np.isfinite(tensor.data).all():
                 raise ValueError(f"parameter {name} holds a non-finite value")

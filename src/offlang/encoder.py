@@ -4,9 +4,12 @@ Post-layernorm blocks, learned positional embeddings, GELU feed-forward,
 CLS-first inputs. Desk-scale by default; all math in float64 through the
 autodiff core so gradients are exact. Execution is packed: every layer
 runs on the batch's real tokens only, and the output is those packed
-token rows (see `encode`). Attention and layer norm are single fused
-autodiff nodes (`autodiff.attention`, `autodiff.layer_norm`); attention
+token rows (see `encode`). Attention, layer norm, each projection and
+each dropout are single autodiff nodes (`autodiff.attention`,
+`autodiff.layer_norm`, `autodiff.affine`, `autodiff.dropout`); attention
 pads each length-sorted group of rows only to its own longest row.
+`encoder_layout` gives the parameter names and shapes, and `init_params`
+fills them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .autodiff import Tensor, attention, dropout, layer_norm, prefix_lengths, rows
+from .autodiff import Tensor, affine, attention, dropout, layer_norm, prefix_lengths, rows
 
 
 @dataclass(frozen=True)
@@ -44,40 +47,54 @@ class EncoderConfig:
         return asdict(self)
 
 
-def linear(params: dict[str, Tensor], rng: np.random.Generator, name: str,
-           fan_in: int, fan_out: int) -> None:
-    """Add `<name>.w` drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in)) and a
-    zero `<name>.b` to `params`."""
-    scale = 1.0 / np.sqrt(fan_in)
-    params[f"{name}.w"] = Tensor(
-        rng.uniform(-scale, scale, (fan_in, fan_out)), requires_grad=True
-    )
-    params[f"{name}.b"] = Tensor(np.zeros(fan_out), requires_grad=True)
+def linear(layout: dict[str, tuple[int, ...]], name: str, fan_in: int,
+           fan_out: int) -> None:
+    """Add a (fan_in, fan_out) `<name>.w` and a (fan_out,) `<name>.b` to
+    `layout`."""
+    layout[f"{name}.w"] = (fan_in, fan_out)
+    layout[f"{name}.b"] = (fan_out,)
+
+
+def encoder_layout(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """The encoder's parameter names and shapes, in initialization order.
+    An invalid config raises ValueError."""
+    config.validate()
+    if config.vocab_size < 3:
+        raise ValueError("vocab_size must cover the reserved tokens")
+    d = config.d_model
+    layout = {"tok_emb": (config.vocab_size, d), "pos_emb": (config.max_len, d)}
+    for layer in range(config.n_layers):
+        p = f"layer{layer}"
+        for proj in ("q", "k", "v", "o"):
+            linear(layout, f"{p}.attn.{proj}", d, d)
+        linear(layout, f"{p}.ffn.in", d, config.d_ffn)
+        linear(layout, f"{p}.ffn.out", config.d_ffn, d)
+        for ln in ("ln1", "ln2"):
+            layout[f"{p}.{ln}.gamma"] = layout[f"{p}.{ln}.beta"] = (d,)
+    return layout
+
+
+def init_params(layout: dict[str, tuple[int, ...]],
+                rng: np.random.Generator) -> dict[str, Tensor]:
+    """Fill `layout` in its order: an embedding table from U(-0.05, 0.05),
+    a `.w` of fan-in f from U(-1/sqrt(f), 1/sqrt(f)), `.gamma` with ones,
+    a `.b` or `.beta` with zeros. Only the uniform entries draw from `rng`."""
+    params = {}
+    for name, shape in layout.items():
+        if name.endswith("_emb"):
+            data = rng.uniform(-0.05, 0.05, shape)
+        elif name.endswith(".w"):
+            scale = 1.0 / np.sqrt(shape[0])
+            data = rng.uniform(-scale, scale, shape)
+        else:
+            data = np.ones(shape) if name.endswith(".gamma") else np.zeros(shape)
+        params[name] = Tensor(data, requires_grad=True)
+    return params
 
 
 def init_encoder(config: EncoderConfig, seed: int) -> dict[str, Tensor]:
     """Deterministic parameter initialization keyed by module-local names."""
-    config.validate()
-    if config.vocab_size < 3:
-        raise ValueError("vocab_size must cover the reserved tokens")
-    rng = np.random.default_rng(seed)
-    params: dict[str, Tensor] = {}
-
-    def uniform(name, *shape):
-        params[name] = Tensor(rng.uniform(-0.05, 0.05, shape), requires_grad=True)
-
-    uniform("tok_emb", config.vocab_size, config.d_model)
-    uniform("pos_emb", config.max_len, config.d_model)
-    for layer in range(config.n_layers):
-        p = f"layer{layer}"
-        for proj in ("q", "k", "v", "o"):
-            linear(params, rng, f"{p}.attn.{proj}", config.d_model, config.d_model)
-        linear(params, rng, f"{p}.ffn.in", config.d_model, config.d_ffn)
-        linear(params, rng, f"{p}.ffn.out", config.d_ffn, config.d_model)
-        for ln in ("ln1", "ln2"):
-            params[f"{p}.{ln}.gamma"] = Tensor(np.ones(config.d_model), requires_grad=True)
-            params[f"{p}.{ln}.beta"] = Tensor(np.zeros(config.d_model), requires_grad=True)
-    return params
+    return init_params(encoder_layout(config), np.random.default_rng(seed))
 
 
 def encode(params: dict[str, Tensor], config: EncoderConfig,
@@ -114,18 +131,18 @@ def encode(params: dict[str, Tensor], config: EncoderConfig,
     tokens = np.flatnonzero(np.arange(T) < lengths[:, None])     # row-major (b, t)
     pos = tokens % T
 
-    def affine(x, name):
-        return x @ params[f"{name}.w"] + params[f"{name}.b"]
+    def dense(x, name):
+        return affine(x, params[f"{name}.w"], params[f"{name}.b"])
 
     x = rows(params["tok_emb"], ids.reshape(-1)[tokens]) + rows(params["pos_emb"], pos)
     x = dropout(x, rate, rng)
     for layer in range(config.n_layers):
         p = f"layer{layer}"
-        q, k, v = (affine(x, f"{p}.attn.{proj}") for proj in "qkv")
+        q, k, v = (dense(x, f"{p}.attn.{proj}") for proj in "qkv")
         ctx = attention(q, k, v, lengths, config.n_heads, rate, rng)
-        x = layer_norm(x + dropout(affine(ctx, f"{p}.attn.o"), rate, rng),
+        x = layer_norm(x + dropout(dense(ctx, f"{p}.attn.o"), rate, rng),
                        params[f"{p}.ln1.gamma"], params[f"{p}.ln1.beta"])
-        ffn = affine(affine(x, f"{p}.ffn.in").gelu(), f"{p}.ffn.out")
+        ffn = dense(dense(x, f"{p}.ffn.in").gelu(), f"{p}.ffn.out")
         x = layer_norm(x + dropout(ffn, rate, rng),
                        params[f"{p}.ln2.gamma"], params[f"{p}.ln2.beta"])
     return x

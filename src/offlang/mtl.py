@@ -18,9 +18,11 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .autodiff import Tensor, cross_entropy, lstm, no_grad
+from .autodiff import Tensor, affine, cross_entropy, lstm, no_grad
 from .corpus import LabeledExample, TaskLabelA, TaskLabelB, TaskLabelC
-from .encoder import EncoderConfig, encode as encoder_forward, init_encoder, linear
+from .encoder import (
+    EncoderConfig, encode as encoder_forward, encoder_layout, init_encoder, init_params, linear,
+)
 from .textnorm import RawTweet
 from .tokenizer import Vocabulary, encode_batch
 
@@ -90,26 +92,72 @@ class PredictionTriple:
         return getattr(self, f"probs_{task}")
 
 
+def head_layout(encoder_config: EncoderConfig,
+                head_config: HeadConfig) -> dict[str, tuple[int, ...]]:
+    """The task heads' parameter names and shapes, in initialization order."""
+    d, h = encoder_config.d_model, head_config.hidden
+    layout: dict[str, tuple[int, ...]] = {}
+    for task in TASKS:
+        linear(layout, f"head_{task}.lstm.x", d, 4 * h)
+        linear(layout, f"head_{task}.lstm.h", h, 4 * h)
+        linear(layout, f"head_{task}.out", h, len(TASK_CLASSES[task]))
+    return layout
+
+
+def parameter_layout(encoder_config: EncoderConfig,
+                     head_config: HeadConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter name of the model and its shape, in initialization
+    order: the encoder's, then the heads'. An invalid encoder config raises
+    ValueError."""
+    return {**encoder_layout(encoder_config), **head_layout(encoder_config, head_config)}
+
+
 class MtlModel:
     """Shared encoder parameters plus per-task head parameters.
 
-    Parameters live in a flat name -> Tensor dict so the optimizer and the
-    gradient checker can treat the whole model uniformly.
+    Parameters live in a flat name -> Tensor dict, ordered as
+    `parameter_layout` gives them, so the optimizer and the gradient
+    checker can treat the whole model uniformly.
     """
 
     def __init__(self, encoder_config: EncoderConfig, head_config: HeadConfig,
                  seed: int):
-        encoder_config.validate()
+        """Seeded initialization: the encoder draws from generator `seed`,
+        the heads from generator `seed + 1`."""
+        params = init_encoder(encoder_config, seed)
+        params.update(init_params(head_layout(encoder_config, head_config),
+                                  np.random.default_rng(seed + 1)))
+        self._hold(encoder_config, head_config, params)
+
+    def _hold(self, encoder_config: EncoderConfig, head_config: HeadConfig,
+              params: dict[str, Tensor]) -> None:
+        """Set the model's attributes: the one place both constructors do."""
         self.encoder_config = encoder_config
         self.head_config = head_config
-        self.params: dict[str, Tensor] = init_encoder(encoder_config, seed)
-        rng = np.random.default_rng(seed + 1)
-        d, h = encoder_config.d_model, head_config.hidden
-        for task in TASKS:
-            n_classes = len(TASK_CLASSES[task])
-            linear(self.params, rng, f"head_{task}.lstm.x", d, 4 * h)
-            linear(self.params, rng, f"head_{task}.lstm.h", h, 4 * h)
-            linear(self.params, rng, f"head_{task}.out", h, n_classes)
+        self.params = params
+
+    @classmethod
+    def from_arrays(cls, encoder_config: EncoderConfig, head_config: HeadConfig,
+                    arrays: dict[str, np.ndarray]) -> MtlModel:
+        """A model holding copies of `arrays`, which must have exactly the
+        names and shapes of `parameter_layout` and real floating-point
+        values; any other input raises ValueError. Draws no random numbers."""
+        layout = parameter_layout(encoder_config, head_config)
+        if set(arrays) != set(layout):
+            raise ValueError("parameter names do not match the model")
+        params = {}
+        for name, shape in layout.items():
+            arr = arrays[name]
+            if arr.shape != shape:
+                raise ValueError(f"shape mismatch for {name}")
+            if not np.issubdtype(arr.dtype, np.floating):
+                # astype would drop an imaginary part without an error
+                raise ValueError(f"parameter {name} holds {arr.dtype} values, "
+                                 f"not real floating point")
+            params[name] = Tensor(arr.astype(np.float64), requires_grad=True)
+        model = cls.__new__(cls)                       # skips __init__'s draws
+        model._hold(encoder_config, head_config, params)
+        return model
 
     # -- forward -------------------------------------------------------------
 
@@ -126,7 +174,7 @@ class MtlModel:
             for task in TASKS
         ])
         return {
-            task: h_all[k] @ p[f"head_{task}.out.w"] + p[f"head_{task}.out.b"]
+            task: affine(h_all[k], p[f"head_{task}.out.w"], p[f"head_{task}.out.b"])
             for k, task in enumerate(TASKS)
         }
 
@@ -143,18 +191,6 @@ class MtlModel:
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.params.items()}
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        if set(arrays) != set(self.params):
-            raise ValueError("parameter names do not match the model")
-        for name, arr in arrays.items():
-            if arr.shape != self.params[name].data.shape:
-                raise ValueError(f"shape mismatch for {name}")
-            if not np.issubdtype(arr.dtype, np.floating):
-                # astype would drop an imaginary part without an error
-                raise ValueError(f"parameter {name} holds {arr.dtype} values, "
-                                 f"not real floating point")
-            self.params[name].data = arr.astype(np.float64).copy()
 
     def zero_grad(self) -> None:
         for t in self.params.values():

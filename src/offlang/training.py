@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import evaluation
-from .autodiff import Tensor, cross_entropy, gather_rows, no_grad, prefix_lengths
+from .autodiff import Tensor, affine, cross_entropy, gather_rows, no_grad, prefix_lengths
 from .corpus import LabeledExample, ScoredExample
 from .mtl import TASK_CLASSES, TASKS, LossWeights, MtlModel, batch_targets, mtl_loss
 from .tokenizer import Vocabulary, encode_batch
@@ -210,7 +210,7 @@ def _cls_head(model: MtlModel, rng: np.random.Generator, n_out: int):
     def logits(ids, mask, rng=None):
         lengths = prefix_lengths(mask)
         cls = gather_rows(model.encode(ids, mask, rng), np.cumsum(lengths) - lengths)
-        return cls @ head_w + head_b
+        return affine(cls, head_w, head_b)
 
     return logits, {**model.params, "cls_head.w": head_w, "cls_head.b": head_b}
 

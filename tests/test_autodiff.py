@@ -2,6 +2,7 @@
 
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from offlang import autodiff
 from offlang.autodiff import (
-    ATTENTION_GROUPS, LN_EPS, MASK_NEG, Tensor, _sigmoid, attention, cross_entropy, dropout,
+    ATTENTION_GROUPS, LN_EPS, MASK_NEG, Tensor, _sigmoid, affine, attention,
+    cross_entropy, dropout,
     gather_rows, layer_norm, lstm, no_grad, prefix_lengths, rows,
 )
 
@@ -257,6 +259,158 @@ class TestMachinery:
         x = Tensor(np.ones((200, 200)))
         out = dropout(x, 0.3, rng)
         assert abs(out.data.mean() - 1.0) < 0.01
+
+
+class TestGraphLifetime:
+    def test_second_backward_through_a_graph_raises(self):
+        # at two ops, re-running every closure onto stale interior
+        # gradients once gave 4x the true gradient
+        x = Tensor(RNG.normal(size=4), requires_grad=True)
+        loss = (x * 3.0).exp().sum()
+        loss.backward()
+        once = x.grad.copy()
+        np.testing.assert_allclose(once, 3.0 * np.exp(3.0 * x.data), rtol=1e-15)
+        with pytest.raises(ValueError, match="already used by an earlier backward"):
+            loss.backward()
+        assert np.array_equal(x.grad, once)
+
+    def test_new_graph_over_a_consumed_node_raises_before_any_closure(self):
+        x = Tensor(RNG.normal(size=4), requires_grad=True)
+        w = Tensor(RNG.normal(size=4), requires_grad=True)
+        y = x.exp()
+        y.sum().backward()
+        with pytest.raises(ValueError, match="run the forward again"):
+            (y * w).sum().backward()
+        assert w.grad is None
+
+    def test_interior_nodes_drop_grad_closure_and_parents(self):
+        x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        y = x * 3.0
+        z = y.tanh()
+        loss = z.sum()
+        loss.backward()
+        for node in (y, z, loss):
+            assert node.grad is None and node._parents == ()
+            assert node._backward is autodiff._consumed
+        assert x.grad is not None and x._backward is None   # a leaf keeps its gradient
+
+    def test_saved_activations_die_with_their_last_closure(self):
+        # Tensor keeps no weakref slot, so the refs go to the arrays that
+        # only the interior nodes and their closures hold
+        x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        y = x * 3.0
+        z = y.exp()
+        activations = [weakref.ref(y.data), weakref.ref(z.data)]
+        loss = z.sum()
+        del y, z
+        assert all(ref() is not None for ref in activations)
+        loss.backward()
+        assert all(ref() is None for ref in activations)
+        assert loss._parents == ()
+
+    def test_fresh_forward_backward_repeats_exactly(self):
+        x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        grads = []
+        for _ in range(2):
+            x.grad = None
+            (x * 3.0).exp().sum().backward()
+            grads.append(x.grad)
+        assert np.array_equal(*grads)
+
+
+@st.composite
+def packed_rows(draw):
+    """Ragged packed rows: (N, d) for N the total of 1-6 row lengths of
+    1-9 tokens, plus a seed."""
+    lengths = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
+    return sum(lengths), draw(st.integers(1, 7)), draw(st.integers(0, 2**32 - 1))
+
+
+def grads_and_output(build, arrays, weights):
+    """The output data of `build` on leaf Tensors of `arrays`, and each
+    leaf's gradient of sum(output * weights)."""
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    out = build(*tensors)
+    data = out.data.copy()
+    (out * Tensor(weights)).sum().backward()
+    return data, [t.grad for t in tensors]
+
+
+class TestAffine:
+    @settings(max_examples=60, deadline=None)
+    @given(packed_rows(), st.integers(1, 7))
+    def test_bit_identical_to_composed_ops(self, case, width):
+        n, d, seed = case
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(size=(n, d)), rng.normal(size=(d, width)), rng.normal(size=width)]
+        weights = rng.normal(size=(n, width))
+        out, grads = grads_and_output(affine, arrays, weights)
+        ref_out, ref_grads = grads_and_output(lambda x, w, b: x @ w + b, arrays, weights)
+        assert np.array_equal(out, ref_out)
+        for g, ref in zip(grads, ref_grads):
+            assert np.array_equal(g, ref)
+
+    @settings(max_examples=30, deadline=None)
+    @given(packed_rows())
+    def test_shared_input_accumulates_in_composed_order(self, case):
+        # q, k and v projections of one x, as the encoder runs them
+        n, d, seed = case
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(size=(n, d))] + [
+            a for _ in range(3) for a in (rng.normal(size=(d, d)), rng.normal(size=d))]
+        weights = rng.normal(size=(n, d))
+
+        def three(op):
+            return lambda x, *wb: (op(x, *wb[0:2]) * op(x, *wb[2:4])).tanh() + op(x, *wb[4:6])
+
+        out, grads = grads_and_output(three(affine), arrays, weights)
+        ref_out, ref_grads = grads_and_output(three(lambda x, w, b: x @ w + b), arrays, weights)
+        assert np.array_equal(out, ref_out)
+        for g, ref in zip(grads, ref_grads):
+            assert np.array_equal(g, ref)
+
+    def test_finite_differences(self):
+        w = RNG.normal(size=(7, 3))
+        check(lambda x, a, b: (affine(x, a, b) * Tensor(w)).sum(),
+              RNG.normal(size=(7, 5)), RNG.normal(size=(5, 3)), RNG.normal(size=3))
+
+    def test_no_graph_under_no_grad(self):
+        x, w, b = (Tensor(a, requires_grad=True) for a in
+                   (RNG.normal(size=(4, 3)), RNG.normal(size=(3, 2)), RNG.normal(size=2)))
+        with no_grad():
+            out = affine(x, w, b)
+        assert out._backward is None and not out.requires_grad
+        assert np.array_equal(out.data, (x @ w + b).data)
+
+
+class TestDropoutNode:
+    @settings(max_examples=60, deadline=None)
+    @given(packed_rows(), st.sampled_from([0.1, 0.5, 0.9]))
+    def test_bit_identical_to_float_mask_product(self, case, rate):
+        n, d, seed = case
+        rng = np.random.default_rng(seed)
+        arrays, weights = [rng.normal(size=(n, d))], rng.normal(size=(n, d))
+        node_rng, mask_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out, grads = grads_and_output(lambda x: dropout(x, rate, node_rng), arrays, weights)
+        mask = (mask_rng.random((n, d)) >= rate).astype(np.float64) / (1.0 - rate)
+        ref_out, ref_grads = grads_and_output(lambda x: x * Tensor(mask), arrays, weights)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(grads[0], ref_grads[0])
+        assert node_rng.random() == mask_rng.random()      # one draw per element
+
+    def test_finite_differences(self):
+        w = RNG.normal(size=(6, 4))
+        check(lambda x: (dropout(x, 0.4, np.random.default_rng(3)) * Tensor(w)).sum(),
+              RNG.normal(size=(6, 4)))
+
+    def test_one_node_that_keeps_no_float_mask(self):
+        x = Tensor(RNG.normal(size=(6, 4)), requires_grad=True)
+        out = dropout(x, 0.4, np.random.default_rng(3))
+        assert out._parents == (x,)
+        saved = [cell.cell_contents for cell in out._backward.__closure__]
+        arrays = [v for v in saved if isinstance(v, np.ndarray)]
+        assert [a.dtype for a in arrays] == [np.bool_]
+        assert not any(isinstance(v, Tensor) and v is not x for v in saved)
 
 
 def reference_lstm(x: Tensor, mask: np.ndarray, wx: Tensor, bx: Tensor,

@@ -21,6 +21,7 @@ from offlang.mtl import (
     PredictionTriple,
     batch_targets,
     mtl_loss,
+    parameter_layout,
     predict,
 )
 from offlang.synth import make_hierarchical_corpus
@@ -30,6 +31,7 @@ from offlang.training import TrainConfig, train
 
 from test_autodiff import reference_lstm
 from test_encoder import assert_grads_close, reference_encode
+from test_training import param_digest
 
 
 def weighted_total(l_a: float, l_b: float, l_c: float, weights: LossWeights) -> float:
@@ -302,6 +304,56 @@ class TestLoss:
         )
         assert enc_norm > 0
 
+    def test_task_loss_after_total_backward_raises(self, batch):
+        """`per_task` losses are interior nodes of `total`'s graph, which its
+        backward consumed; a second backward through them would add stale
+        gradients to the parameters."""
+        model, _, examples, ids, mask = batch
+        targets, real = batch_targets(examples)
+        total, per_task, _ = mtl_loss(model.logits_mtl(ids, mask), targets, LossWeights(),
+                                      real)
+        model.zero_grad()
+        total.backward()
+        grads = {name: t.grad.copy() for name, t in model.params.items()}
+        with pytest.raises(ValueError, match="already used by an earlier backward"):
+            per_task["a"].backward()
+        for name, t in model.params.items():
+            assert np.array_equal(t.grad, grads[name]), name
+
+
+class TestParameterLayout:
+    CONFIG = EncoderConfig(d_model=16, n_layers=2, n_heads=2, d_ffn=32, max_len=24,
+                           vocab_size=40, dropout_rate=0.1)
+
+    def test_seeded_initialization_is_pinned(self):
+        """The parameters drawn for a seed, their names, shapes and order,
+        as they were when the model drew its own layout (NumPy 2.4)."""
+        model = MtlModel(self.CONFIG, HeadConfig(hidden=8), seed=5)
+        assert param_digest(model.params) == "71668194ce1b2c9c"
+
+    def test_layout_is_the_models_names_shapes_and_order(self):
+        model = MtlModel(self.CONFIG, HeadConfig(hidden=8), seed=5)
+        layout = parameter_layout(self.CONFIG, HeadConfig(hidden=8))
+        assert list(layout.items()) == [(n, t.shape) for n, t in model.params.items()]
+        assert layout["head_c.out.w"] == (8, len(TASK_CLASSES["c"]))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"vocab_size": 2}, "vocab_size must cover the reserved tokens"),
+        ({"n_heads": 3}, "not divisible by n_heads"),
+    ])
+    def test_invalid_config_rejected(self, change, message):
+        config = EncoderConfig(**{**self.CONFIG.to_dict(), **change})
+        with pytest.raises(ValueError, match=message):
+            parameter_layout(config, HeadConfig())
+
+    def test_from_arrays_keeps_values_and_layout_order(self):
+        model = MtlModel(self.CONFIG, HeadConfig(hidden=8), seed=5)
+        arrays = dict(reversed(model.state_arrays().items()))
+        loaded = MtlModel.from_arrays(self.CONFIG, HeadConfig(hidden=8), arrays)
+        assert list(loaded.params) == list(model.params)
+        assert param_digest(loaded.params) == param_digest(model.params)
+        assert all(t.requires_grad for t in loaded.params.values())
+
 
 class TestPredict:
     def test_memorizes_single_example(self):
@@ -377,6 +429,18 @@ class TestCheckpoint:
             assert np.array_equal(x.probs_a, y.probs_a)
             assert np.array_equal(x.probs_b, y.probs_b)
             assert np.array_equal(x.probs_c, y.probs_c)
+
+    def test_load_draws_no_random_numbers(self, tmp_path, batch, monkeypatch):
+        model, vocab, _, _, _ = batch
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, vocab, LossWeights())
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded, _, _ = load_checkpoint(path)
+        assert param_digest(loaded.params) == param_digest(model.params)
 
     def test_version_1_with_baseline_head_loads(self, tmp_path, batch):
         model, vocab, _, ids, mask = batch

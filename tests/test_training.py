@@ -1,7 +1,12 @@
+import dataclasses
+import hashlib
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
-from offlang import training
+from offlang import encoder, mtl, training
 from offlang.autodiff import Tensor
 from offlang.encoder import EncoderConfig
 from offlang.mtl import HeadConfig, LossWeights, MtlModel, batch_targets, mtl_loss
@@ -12,6 +17,7 @@ from offlang.training import (
     NonFiniteLossError,
     TrainConfig,
     check_gradients,
+    fit,
     pretrain_regression,
     _cls_head,
     train,
@@ -32,6 +38,27 @@ def small_setup(n=24, seed=0):
     examples = make_hierarchical_corpus(n, seed=seed)
     vocab = build_vocab([e.tweet.text for e in examples])
     return examples, vocab
+
+
+def ragged_corpus(n, seed):
+    """`n` synthetic examples cut to 1-20 words each: `synth` gives every
+    tweet the same word count, so its batches are never ragged."""
+    examples = make_hierarchical_corpus(n, seed=seed, n_words=20)
+    keep = np.random.default_rng(seed).integers(1, 21, size=n)
+    return [dataclasses.replace(ex, tweet=dataclasses.replace(
+        ex.tweet, text=" ".join(ex.tweet.text.split()[:k])))
+        for ex, k in zip(examples, keep)]
+
+
+def param_digest(params) -> str:
+    """The first 16 hex digits of a SHA-256 over each parameter's name,
+    shape and float64 bytes, in the model's order."""
+    digest = hashlib.sha256()
+    for name, tensor in params.items():
+        digest.update(name.encode())
+        digest.update(repr(tensor.data.shape).encode())
+        digest.update(np.ascontiguousarray(tensor.data).tobytes())
+    return digest.hexdigest()[:16]
 
 
 class TestEarlyStopper:
@@ -126,6 +153,116 @@ class TestTrain:
             after, _, _ = mtl_loss(logits, targets, weights, real)
             wins += float(after.data) < before
         assert wins >= 95
+
+
+class TestOneGraphPerStep:
+    """Backward frees the graph it consumed, so a training step holds one
+    graph at a time."""
+
+    @staticmethod
+    def ragged_step(seed=1):
+        """A model with dropout on and `train`'s loss on one ragged 32-row
+        batch."""
+        examples = ragged_corpus(32, seed=seed)
+        vocab = build_vocab([e.tweet.text for e in examples])
+        ids, mask = encode_batch([e.tweet.text for e in examples], vocab, 24)
+        assert len(set(mask.sum(axis=1))) > 10
+        targets, real = batch_targets(examples)
+        cfg = EncoderConfig(d_model=32, n_layers=2, n_heads=2, d_ffn=64, max_len=24,
+                            vocab_size=len(vocab), dropout_rate=0.1)
+        model = MtlModel(cfg, HeadConfig(hidden=16), seed=0)
+
+        def step_loss(batch, rng):
+            logits = model.logits_mtl(ids[batch], mask[batch], rng)
+            loss, _, _ = mtl_loss(logits, {t: targets[t][batch] for t in targets},
+                                  LossWeights(), real[batch])
+            return loss
+
+        return model, step_loss
+
+    def test_encoder_output_dies_with_backward(self, monkeypatch):
+        """The encoder's output Tensor is freed by the step's backward. Tensor
+        keeps no weakref slot, so the ref goes to its data array, which no
+        other object holds (`lstm` gathers a copy of it)."""
+        outputs, original = [], mtl.encoder_forward
+
+        def encode(*args):
+            out = original(*args)
+            outputs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(mtl, "encoder_forward", encode)
+        model, step_loss = self.ragged_step()
+        loss = step_loss(np.arange(32), np.random.default_rng(0))
+        assert outputs[0]() is not None
+        loss.backward()
+        assert outputs[0]() is None
+        assert loss._parents == () and loss.grad is None
+        assert all(t.grad is not None for t in model.params.values())
+
+    def test_two_step_fit_peaks_as_high_as_one_step(self):
+        """The previous step's graph is gone before the next forward runs:
+        the traced peak of a two-step `fit` stays within 10% of a one-step
+        `fit`'s."""
+        peaks = []
+        for steps in (1, 2):
+            model, step_loss = self.ragged_step()
+            tracemalloc.start()
+            try:
+                fit(model.params, 32, step_loss, TrainConfig(batch_size=32, max_epochs=steps),
+                    np.random.default_rng(0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    def test_ragged_seeded_run_matches_composed_ops(self, monkeypatch):
+        """A seeded `train` run with dropout on ragged 1-20 word tweets gives
+        the loss history and parameter bytes, in the same process, that the
+        composed ops give: `x @ w + b` for `affine`, `x * Tensor(mask)` with
+        a float mask for `dropout`, and a backward that frees nothing."""
+        examples = ragged_corpus(48, seed=3)
+        vocab = build_vocab([e.tweet.text for e in examples])
+        cfg = EncoderConfig(d_model=16, n_layers=2, n_heads=2, d_ffn=32, max_len=24,
+                            vocab_size=len(vocab), dropout_rate=0.1)
+        config = TrainConfig(learning_rate=3e-3, batch_size=16, max_epochs=2, patience=2,
+                             seed=9)
+
+        def run():
+            model, history = train(MtlModel(cfg, HeadConfig(hidden=8), seed=7), vocab,
+                                   examples[:32], examples[32:], config)
+            return [x.hex() for x in history.train_loss], param_digest(model.params)
+
+        def composed_affine(x, w, b):
+            return x @ w + b
+
+        def composed_dropout(x, rate, rng):
+            if rng is None or rate <= 0.0:
+                return x
+            keep = rng.random(x.data.shape) >= rate
+            return x * Tensor(keep.astype(np.float64) / (1.0 - rate))
+
+        def keeping_backward(self):
+            topo, seen, stack = [], set(), [(self, False)]
+            while stack:
+                node, done = stack.pop()
+                if done:
+                    topo.append(node)
+                elif id(node) not in seen and node.requires_grad:
+                    seen.add(id(node))
+                    stack.append((node, True))
+                    stack.extend((p, False) for p in node._parents)
+            self.grad = np.ones_like(self.data)
+            for node in reversed(topo):
+                if node._backward is not None:
+                    node._backward(node.grad)
+
+        lean = run()
+        monkeypatch.setattr(encoder, "affine", composed_affine)
+        monkeypatch.setattr(mtl, "affine", composed_affine)
+        monkeypatch.setattr(encoder, "dropout", composed_dropout)
+        monkeypatch.setattr(Tensor, "backward", keeping_backward)
+        assert run() == lean
 
 
 class TestPretrainRegression:
