@@ -17,15 +17,15 @@ activations die as soon as the last closure that reads them has run, and
 training holds one graph at a time. A graph therefore runs backward once
 per forward; a second backward through it raises ValueError.
 
-Padded batches carry a (B, T) mask whose rows are real tokens (1) first,
-then PAD (0); `prefix_lengths` enforces that. Execution is packed: token
-activations are (N, ...) rows, one per real token in row-major order.
-`lstm` reads them as such, reorders them time-major (each step's live rows
-one contiguous run), projects them for every head with one GEMM and steps
-only the rows still running, in place; under `no_grad()` it keeps only the
-running state. `attention` reads them in a few length-sorted groups of
-rows, each padded only to its own longest row, and writes each token's
-context back to its row.
+Execution is packed: token activations are (N, ...) rows, one per real
+token in row-major order, and the packed ops, `lstm` and `attention`, take
+the batch's row `lengths` with them; no op reads a padding mask. `lstm`
+reorders the rows time-major (each step's live rows one contiguous run),
+projects them for every head with one GEMM and steps only the rows still
+running, in place; under `no_grad()` it keeps only the running state.
+`attention` reads them in a few length-sorted groups of rows, each padded
+only to its own longest row, and writes each token's context back to its
+row.
 """
 
 from __future__ import annotations
@@ -359,31 +359,6 @@ def rows(table: Tensor, ids: np.ndarray) -> Tensor:
     return Tensor._result(out_data, (table,), backward)
 
 
-def prefix_lengths(mask: np.ndarray) -> np.ndarray:
-    """Row lengths of a (B, T) mask laid out as real tokens (1) first, then
-    PAD (0). Any other mask raises ValueError."""
-    mask = np.asarray(mask)
-    if mask.ndim != 2:
-        raise ValueError("mask must be (batch, length)")
-    lengths = np.count_nonzero(mask, axis=1)
-    if not np.array_equal(mask, np.arange(mask.shape[1]) < lengths[:, None]):
-        raise ValueError("each mask row must be 1s for its real tokens followed "
-                         "by 0s for PAD")
-    return lengths
-
-
-def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
-    """The rows of `x` at the distinct positions `index`. Unlike `rows`, the
-    backward assigns instead of accumulating, since no row repeats."""
-    def backward(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[index] = g
-            x._accumulate(full)
-
-    return Tensor._result(x.data[index], (x,), backward)
-
-
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Layer norm over the last axis, (x - mean) / sqrt(var + LN_EPS) *
     gamma + beta, as one node. Forward and backward evaluate the same
@@ -507,20 +482,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, lengths: np.ndarray, n_heads: int
     return Tensor._result(out_data, (q, k, v), backward)
 
 
-def lstm(x: Tensor, mask: np.ndarray, heads: list) -> Tensor:
-    """Final hidden states (K, B, h) of K masked one-direction LSTMs that read
-    the same input, as one node.
+def lstm(x: Tensor, lengths: np.ndarray, heads: list) -> Tensor:
+    """Final hidden states (K, B, h) of K one-direction LSTMs that read the
+    same input, as one node.
 
-    mask: (B, T), each row 1 for its real tokens, then 0 for PAD (see
-    `prefix_lengths`); x: (N, d), one row per real token of `mask` in
-    row-major order, so row b's tokens are contiguous; heads: K sequences
-    (wx, bx, wh, bh) with wx: (d, 4h) and wh: (h, 4h). Gate blocks are
-    ordered input, forget, cell, output. Execution is packed, as in
-    PyTorch's pack_padded_sequence: the rows are sorted by length, longest
-    first, so the rows still running at step t are a prefix of that order,
-    and one time loop steps only that prefix, for every head at once. A
-    row's state is left as it was after its last real token, and a row
-    without one keeps the zero state.
+    x: (N, d) rows, one per real token, row b's `lengths[b]` tokens
+    contiguous in row-major order (the layout `encoder.encode` builds, as
+    for `attention`); heads: K sequences (wx, bx, wh, bh) with wx: (d, 4h)
+    and wh: (h, 4h). Gate blocks are ordered input, forget, cell, output.
+    Execution is packed, as in PyTorch's pack_padded_sequence: the rows are
+    sorted by length, longest first, so the rows still running at step t are
+    a prefix of that order, and one time loop steps only that prefix, for
+    every head at once. A row's state is left as it was after its last real
+    token, and a row without one keeps the zero state.
 
     Entries, one per real (row, step) pair, are time-major: step t's live
     rows are one contiguous run of entries. The input projection of every
@@ -538,10 +512,10 @@ def lstm(x: Tensor, mask: np.ndarray, heads: list) -> Tensor:
     """
     K = len(heads)
     h = heads[0][2].shape[0]
-    lengths = prefix_lengths(mask)
+    lengths = np.asarray(lengths)
     B, n = len(lengths), int(lengths.sum())
     if x.data.ndim != 2 or len(x.data) != n:
-        raise ValueError(f"x must hold one row per real token of the mask ({n}), "
+        raise ValueError(f"x must hold one row per real token of `lengths` ({n}), "
                          f"not shape {x.shape}")
     steps = int(lengths.max(initial=0))
     order = np.argsort(-lengths, kind="stable")

@@ -2,14 +2,15 @@
 
 Post-layernorm blocks, learned positional embeddings, GELU feed-forward,
 CLS-first inputs. Desk-scale by default; all math in float64 through the
-autodiff core so gradients are exact. Execution is packed: every layer
-runs on the batch's real tokens only, and the output is those packed
-token rows (see `encode`). Attention, layer norm, each projection and
-each dropout are single autodiff nodes (`autodiff.attention`,
-`autodiff.layer_norm`, `autodiff.affine`, `autodiff.dropout`); attention
-pads each length-sorted group of rows only to its own longest row.
-`encoder_layout` gives the parameter names and shapes, and `init_params`
-fills them.
+autodiff core so gradients are exact. Execution is packed: every layer runs
+on the batch's real tokens only, and the output is those packed token rows
+and their row lengths (see `encode`). `encode` is the only reader of the
+tokenizer's padding mask: past it, a batch is rows plus `lengths`.
+Attention, layer norm, each projection and each dropout are single autodiff
+nodes (`autodiff.attention`, `autodiff.layer_norm`, `autodiff.affine`,
+`autodiff.dropout`); attention pads each length-sorted group of rows only to
+its own longest row. `encoder_layout` gives the parameter names and shapes,
+and `init_params` fills them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .autodiff import Tensor, affine, attention, dropout, layer_norm, prefix_lengths, rows
+from .autodiff import Tensor, affine, attention, dropout, layer_norm, rows
 
 
 @dataclass(frozen=True)
@@ -32,12 +33,12 @@ class EncoderConfig:
     dropout_rate: float = 0.1
 
     def validate(self) -> None:
+        if min(self.d_model, self.n_layers, self.n_heads, self.d_ffn) < 1:
+            raise ValueError("all encoder dimensions must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
-        if min(self.d_model, self.n_layers, self.n_heads, self.d_ffn) < 1:
-            raise ValueError("all encoder dimensions must be >= 1")
         if self.max_len < 2:
             raise ValueError("max_len must be >= 2")
         if not (0.0 <= self.dropout_rate < 1.0):
@@ -97,22 +98,34 @@ def init_encoder(config: EncoderConfig, seed: int) -> dict[str, Tensor]:
     return init_params(encoder_layout(config), np.random.default_rng(seed))
 
 
+def prefix_lengths(mask: np.ndarray) -> np.ndarray:
+    """Row lengths of a (B, T) mask laid out as real tokens (1) first, then
+    PAD (0). Any other mask raises ValueError."""
+    lengths = np.count_nonzero(mask, axis=1)
+    if not np.array_equal(mask, np.arange(mask.shape[1]) < lengths[:, None]):
+        raise ValueError("each mask row must be 1s for its real tokens followed "
+                         "by 0s for PAD")
+    return lengths
+
+
 def encode(params: dict[str, Tensor], config: EncoderConfig,
            ids: np.ndarray, mask: np.ndarray,
-           rng: np.random.Generator | None = None) -> Tensor:
+           rng: np.random.Generator | None = None) -> tuple[Tensor, np.ndarray]:
     """Contextual embeddings (N, d_model) of the N real tokens of ids (B, T),
-    T <= max_len, in row-major order: row b's tokens are contiguous, CLS
-    first. This is the layout `autodiff.lstm` reads.
+    T <= max_len, and the (B,) row lengths. The rows are in row-major
+    order: row b's `lengths[b]` tokens are contiguous, CLS first. This is
+    the layout `autodiff.lstm` and `autodiff.attention` read.
 
-    Each mask row is 1 for the row's real tokens, then 0 for PAD (see
-    `autodiff.prefix_lengths`). The embeddings, the Q/K/V/O and
-    feed-forward projections, GELU, layer norm, residuals and dropout all
-    run on the packed rows. `autodiff.attention` scores each row's tokens
-    against each other in length-sorted groups of rows, each padded only to
-    its own longest row, and PAD keys get zero weight. `rng` turns dropout
-    on (training); None is deterministic evaluation. Each token-layer
-    dropout mask is drawn at (N, d_model); attention draws one mask per
-    group, at the group's (rows, heads, longest, longest) shape.
+    The mask is read here and nowhere past here: each row must be 1 for the
+    row's real tokens, then 0 for PAD (`prefix_lengths` checks it once per
+    call). The embeddings, the Q/K/V/O and feed-forward projections, GELU,
+    layer norm, residuals and dropout all run on the packed rows.
+    `autodiff.attention` scores each row's tokens against each other in
+    length-sorted groups of rows, each padded only to its own longest row,
+    and PAD keys get zero weight. `rng` turns dropout on (training); None is
+    deterministic evaluation. Each token-layer dropout mask is drawn at (N,
+    d_model); attention draws one mask per group, at the group's (rows,
+    heads, longest, longest) shape.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2 or ids.shape[1] == 0:
@@ -125,7 +138,7 @@ def encode(params: dict[str, Tensor], config: EncoderConfig,
         raise ValueError("mask must have the shape of ids")
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= config.vocab_size:
         raise ValueError("token id out of vocabulary range")
-    lengths = prefix_lengths(mask)
+    lengths = prefix_lengths(np.asarray(mask))
 
     rate = config.dropout_rate
     tokens = np.flatnonzero(np.arange(T) < lengths[:, None])     # row-major (b, t)
@@ -145,4 +158,4 @@ def encode(params: dict[str, Tensor], config: EncoderConfig,
         ffn = dense(dense(x, f"{p}.ffn.in").gelu(), f"{p}.ffn.out")
         x = layer_norm(x + dropout(ffn, rate, rng),
                        params[f"{p}.ln2.gamma"], params[f"{p}.ln2.beta"])
-    return x
+    return x, lengths

@@ -1,15 +1,14 @@
 """Multi-task model: shared encoder, three LSTM task heads, weighted loss.
 
-Each head runs a unidirectional LSTM over a tweet's real tokens and
-projects its final hidden state to class logits. The encoder hands the
-heads its packed (N, d) token rows, with no padded layout in between, and
-the three heads run on them as one fused recurrence, a single
-`autodiff.lstm` node. NULL is an ordinary class for heads B and C.
+Each head runs a unidirectional LSTM over a tweet's real tokens and projects
+its final hidden state to class logits. The encoder hands the heads its
+packed (N, d) token rows and their row lengths, with no padded layout or
+mask in between, and the three heads run on them as one fused recurrence, a
+single `autodiff.lstm` node. NULL is an ordinary class for heads B and C.
 Inference (`forward_mtl`) builds no autodiff graph and returns each task's
-(N, C) probabilities in one PredictionTriple; indexing it gives a row,
-which is what `predict` returns. The single-task
-baseline is not part of the model: `training.train_baseline` trains a
-throwaway CLS head on its encoder.
+(N, C) probabilities in one PredictionTriple; indexing it gives a row, which
+is what `predict` returns. The single-task baseline is not part of the
+model: `training.train_baseline` trains a throwaway CLS head on its encoder.
 """
 
 from __future__ import annotations
@@ -161,15 +160,16 @@ class MtlModel:
 
     # -- forward -------------------------------------------------------------
 
-    def encode(self, ids, mask, rng=None) -> Tensor:
+    def encode(self, ids, mask, rng=None) -> tuple[Tensor, np.ndarray]:
+        """The encoder's packed token rows and their row lengths."""
         return encoder_forward(self.params, self.encoder_config, ids, mask, rng)
 
     def logits_mtl(self, ids, mask, rng=None) -> dict[str, Tensor]:
         if len(np.asarray(ids)) == 0:
             raise ValueError("empty batch")
-        emb = self.encode(ids, mask, rng)
+        emb, lengths = self.encode(ids, mask, rng)
         p = self.params
-        h_all = lstm(emb, mask, [
+        h_all = lstm(emb, lengths, [
             [p[f"head_{task}.lstm.{k}"] for k in ("x.w", "x.b", "h.w", "h.b")]
             for task in TASKS
         ])

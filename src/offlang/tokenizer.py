@@ -43,8 +43,13 @@ class Vocabulary:
 
     @classmethod
     def from_lines(cls, lines) -> "Vocabulary":
+        """Read `to_lines` output; an entry that is not a string raises
+        ValueError naming its index."""
         mapping = {}
-        for line in lines:
+        for index, line in enumerate(lines):
+            if not isinstance(line, str):
+                raise ValueError(f"vocabulary entry {index} is "
+                                 f"{type(line).__name__}, not a string")
             tok, _, i = line.rstrip("\n").partition("\t")
             mapping[tok] = int(i)
         return cls(mapping)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import evaluation
-from .autodiff import Tensor, affine, cross_entropy, gather_rows, no_grad, prefix_lengths
+from .autodiff import Tensor, affine, cross_entropy, no_grad
 from .corpus import LabeledExample, ScoredExample
 from .mtl import TASK_CLASSES, TASKS, LossWeights, MtlModel, batch_targets, mtl_loss
 from .tokenizer import Vocabulary, encode_batch
@@ -208,9 +208,8 @@ def _cls_head(model: MtlModel, rng: np.random.Generator, n_out: int):
     head_b = Tensor(np.zeros(n_out), requires_grad=True)
 
     def logits(ids, mask, rng=None):
-        lengths = prefix_lengths(mask)
-        cls = gather_rows(model.encode(ids, mask, rng), np.cumsum(lengths) - lengths)
-        return affine(cls, head_w, head_b)
+        x, lengths = model.encode(ids, mask, rng)
+        return affine(x[np.cumsum(lengths) - lengths], head_w, head_b)
 
     return logits, {**model.params, "cls_head.w": head_w, "cls_head.b": head_b}
 

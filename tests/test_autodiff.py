@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 from offlang import autodiff
 from offlang.autodiff import (
     ATTENTION_GROUPS, LN_EPS, MASK_NEG, Tensor, _sigmoid, affine, attention,
-    cross_entropy, dropout,
-    gather_rows, layer_norm, lstm, no_grad, prefix_lengths, rows,
+    cross_entropy, dropout, layer_norm, lstm, no_grad, rows,
 )
 
 
@@ -54,6 +53,18 @@ def scatter_rows(x: Tensor, index: np.ndarray, n_rows: int) -> Tensor:
             x._accumulate(g[index])
 
     return Tensor._result(out_data, (x,), backward)
+
+
+def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
+    """The rows of `x` at the distinct positions `index`, with a backward
+    that assigns instead of accumulating: the op `x[index]` replaced."""
+    def backward(g):
+        if x.requires_grad:
+            full = np.zeros_like(x.data)
+            full[index] = g
+            x._accumulate(full)
+
+    return Tensor._result(x.data[index], (x,), backward)
 
 
 def reference_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -205,6 +216,23 @@ class TestOps:
         assert np.array_equal(out[index], a) and not np.delete(out, index, axis=0).any()
         check(lambda x: (scatter_rows(x, index, 7) * Tensor(w)).sum(), a)
         check(lambda x: (gather_rows(x, index) ** 2.0).sum(), w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 4), st.data())
+    def test_getitem_on_distinct_rows_is_gather_rows(self, n, d, data):
+        """`x[index]` on distinct row positions, in any order, gives the
+        bits of the assigning `gather_rows`, forward and gradient."""
+        index = np.array(data.draw(st.lists(st.integers(0, n - 1), unique=True)),
+                         dtype=np.int64)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        x, w = rng.normal(size=(n, d)), rng.normal(size=(len(index), d))
+        results = []
+        for op in (lambda t: t[index], lambda t: gather_rows(t, index)):
+            t = Tensor(x.copy(), requires_grad=True)
+            out = op(t)
+            (out * Tensor(w)).sum().backward()
+            results.append((out.data.tobytes(), t.grad.tobytes()))
+        assert results[0] == results[1]
 
     def test_cross_entropy_matches_manual(self):
         logits = RNG.normal(size=(5, 3))
@@ -450,6 +478,7 @@ MASK = np.array([
     [1, 1, 1, 0, 0, 0, 0],
     [1, 1, 1, 1, 1, 0, 0],
 ])
+LENGTHS = MASK.sum(axis=1)
 
 
 def random_inputs(seed, mask=MASK):
@@ -473,9 +502,14 @@ def reference_packed(x, mask, wx, bx, wh, bh):
     return reference_lstm(padded(x, mask), mask, wx, bx, wh, bh)
 
 
+def lengths_of(mask):
+    """The row lengths `lstm` takes for a prefix mask."""
+    return np.count_nonzero(mask, axis=1)
+
+
 def lstm_one(x, mask, wx, bx, wh, bh):
     """`lstm` with a single head, shaped like `reference_lstm`."""
-    return lstm(x, mask, [(wx, bx, wh, bh)])[0]
+    return lstm(x, lengths_of(mask), [(wx, bx, wh, bh)])[0]
 
 
 def grads_of(op, arrays, mask, weights):
@@ -500,7 +534,7 @@ def multi_grads(arrays, mask, weights, reference):
         out = np.stack([o.data for o in outs])
     else:
         heads = [ws[i:i + 4] for i in range(0, len(ws), 4)]
-        h_all = lstm(x, mask, heads)
+        h_all = lstm(x, lengths_of(mask), heads)
         loss = (h_all * Tensor(weights)).sum()
         out = h_all.data
     loss.backward()
@@ -562,14 +596,14 @@ class TestLstm:
     def test_three_heads_finite_differences(self):
         arrays = multi_inputs(7)
         weights = np.random.default_rng(8).normal(size=(3, len(MASK), H))
-        check(lambda x, *ws: (lstm(x, MASK, [ws[0:4], ws[4:8], ws[8:12]])
+        check(lambda x, *ws: (lstm(x, LENGTHS, [ws[0:4], ws[4:8], ws[8:12]])
                               * Tensor(weights)).sum(), *arrays)
 
     def test_three_heads_all_pad_first_column_gives_zero_state(self):
         mask = np.zeros((len(MASK), T))
         tensors = [Tensor(a, requires_grad=True) for a in multi_inputs(9, mask=mask)]
         ws = tensors[1:]
-        out = lstm(tensors[0], mask, [ws[0:4], ws[4:8], ws[8:12]])
+        out = lstm(tensors[0], lengths_of(mask), [ws[0:4], ws[4:8], ws[8:12]])
         assert out.shape == (3, len(MASK), H) and not out.data.any()
         out.sum().backward()
         assert all(not t.grad.any() for t in tensors)
@@ -595,7 +629,8 @@ def no_grad_lstm(arrays, mask):
     """`lstm`'s output under `no_grad()` on `multi_inputs`-style flat arrays."""
     ws = [Tensor(a) for a in arrays[1:]]
     with no_grad():
-        return lstm(Tensor(arrays[0]), mask, [ws[i:i + 4] for i in range(0, len(ws), 4)]).data
+        return lstm(Tensor(arrays[0]), lengths_of(mask),
+                    [ws[i:i + 4] for i in range(0, len(ws), 4)]).data
 
 
 def check_against_reference(mask, k, seed):
@@ -625,28 +660,11 @@ class TestPacked:
     def test_lstm_matches_reference_on_ragged_masks(self, case):
         check_against_reference(*case)
 
-    @pytest.mark.parametrize("mask", [
-        [[1, 0, 1, 0]],                 # a real token after PAD
-        [[0, 1, 1, 1]],
-        [[1, 1, 0.5, 0]],               # not 0/1
-        [[1, 1, 2, 0]],
-    ])
-    def test_mask_must_be_real_tokens_then_pad(self, mask):
-        with pytest.raises(ValueError, match="real tokens followed by 0s for PAD"):
-            prefix_lengths(np.array(mask))
-        x = Tensor(RNG.normal(size=(2, D)))
-        with pytest.raises(ValueError, match="real tokens followed by 0s for PAD"):
-            lstm(x, np.array(mask), [[Tensor(a) for a in random_inputs(0)[1:]]])
-
     @pytest.mark.parametrize("shape", [(int(MASK.sum()) - 1, D), (int(MASK.sum()) + 1, D),
                                        (len(MASK), T, D), (int(MASK.sum()),)])
     def test_x_must_hold_one_row_per_real_token(self, shape):
         with pytest.raises(ValueError, match="one row per real token"):
-            lstm(Tensor(np.zeros(shape)), MASK, [[Tensor(a) for a in random_inputs(0)[1:]]])
-
-    def test_prefix_lengths(self):
-        assert prefix_lengths(ragged_mask([0, 3, 1, 4], 4)).tolist() == [0, 3, 1, 4]
-        assert prefix_lengths(np.array([[True, False]])).tolist() == [1]
+            lstm(Tensor(np.zeros(shape)), LENGTHS, [[Tensor(a) for a in random_inputs(0)[1:]]])
 
 
 class TestTimeLoop:
@@ -669,7 +687,8 @@ class TestTimeLoop:
         mask = ragged_mask([2, 0, 5, 1, 5, 3], 6)
         arrays = multi_inputs(11, k=2, mask=mask)
         weights = np.random.default_rng(12).normal(size=(2, len(mask), H))
-        check(lambda x, *ws: (lstm(x, mask, [ws[0:4], ws[4:8]]) * Tensor(weights)).sum(),
+        check(lambda x, *ws: (lstm(x, lengths_of(mask), [ws[0:4], ws[4:8]])
+                              * Tensor(weights)).sum(),
               *arrays)
 
     def test_no_grad_keeps_no_per_entry_state(self):
@@ -681,12 +700,12 @@ class TestTimeLoop:
         heads = [[Tensor(rng.normal(size=shape) * 0.1)
                   for shape in ((d, 4 * h), (4 * h,), (h, 4 * h), (4 * h,))]
                  for _ in range(k)]
-        mask = np.ones((batch, width))
+        lengths = np.full(batch, width)
         projection = batch * width * k * 4 * h * 8
         tracemalloc.start()
         try:
             with no_grad():
-                out = lstm(x, mask, heads)
+                out = lstm(x, lengths, heads)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -804,7 +823,7 @@ class TestNoGrad:
         x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
         with no_grad():
             y = (x @ x.transpose(1, 0)).tanh().sum()
-            h = lstm(Tensor(random_inputs(0, MASK[:2])[0], requires_grad=True), MASK[:2],
+            h = lstm(Tensor(random_inputs(0, MASK[:2])[0], requires_grad=True), LENGTHS[:2],
                      [[Tensor(a, requires_grad=True) for a in random_inputs(0)[1:]]])
         for out in (y, h):
             assert out._backward is None and out._parents == () and not out.requires_grad

@@ -99,6 +99,7 @@ BAD_CONFIGS = {
     "nan_loss_weight": ({"train": {"loss_weights": [float("nan"), 0.5, 0.5],
                                    "max_epochs": 1}},
                         "loss weights must be finite and nonnegative"),
+    "zero_heads": ({"encoder": {"n_heads": 0}}, "all encoder dimensions must be >= 1"),
 }
 
 
@@ -133,6 +134,8 @@ BAD_CHECKPOINTS = {
         encoder={**EncoderConfig(vocab_size=8).to_dict(), "colour": "red"})},
     "missing_head_key": {"meta": checkpoint_meta(head={})},
     "missing_meta_keys": {"meta": json.dumps({"version": FORMAT_VERSION}).encode("utf-8")},
+    "zero_heads": {"meta": checkpoint_meta(
+        encoder={**EncoderConfig(vocab_size=8).to_dict(), "n_heads": 0})},
 }
 
 
@@ -148,9 +151,12 @@ class TestBadCheckpoint:
                 np.savez(handle, x=np.zeros(1), **{
                     k: np.frombuffer(v, dtype=np.uint8) for k, v in entries.items()})
         assert dispatch(["predict", "--model", str(path), "--text", "hi"]) == 1
-        assert f"error: {path} is not a valid checkpoint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not a valid checkpoint") and err.count("\n") == 1
 
-    def test_nan_loss_weights(self, tmp_path, capsys):
+    @staticmethod
+    def rewritten_checkpoint(tmp_path, **meta_changes):
+        """A tiny model's checkpoint with `meta_changes` written over its metadata."""
         vocab = build_vocab(["a b c"])
         model = MtlModel(EncoderConfig(d_model=8, n_layers=1, n_heads=2, d_ffn=16,
                                        max_len=8, vocab_size=len(vocab)),
@@ -159,15 +165,25 @@ class TestBadCheckpoint:
         save_checkpoint(path, model, vocab, LossWeights())
         with np.load(path) as data:
             arrays = {key: data[key] for key in data.files}
-        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-        meta["loss_weights"] = [float("nan"), 0.5, 0.5]
+        meta = {**json.loads(bytes(arrays["meta"]).decode("utf-8")), **meta_changes}
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
         with open(path, "wb") as handle:
             np.savez(handle, **arrays)
+        return path
+
+    def test_nan_loss_weights(self, tmp_path, capsys):
+        path = self.rewritten_checkpoint(tmp_path, loss_weights=[float("nan"), 0.5, 0.5])
         assert dispatch(["predict", "--model", str(path), "--text", "a b"]) == 1
         err = capsys.readouterr().err
         assert err == (f"error: {path} is not a valid checkpoint: "
                        "loss weights must be finite and nonnegative\n")
+
+    def test_non_string_vocabulary_entry(self, tmp_path, capsys):
+        path = self.rewritten_checkpoint(tmp_path, vocab=[1, 2, 3])
+        assert dispatch(["predict", "--model", str(path), "--text", "a b"]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {path} is not a valid checkpoint: "
+                       "vocabulary entry 0 is int, not a string\n")
 
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.int32])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from offlang.autodiff import MASK_NEG, Tensor, rows
-from offlang.encoder import EncoderConfig, encode, init_encoder
+from offlang.encoder import EncoderConfig, encode, init_encoder, prefix_lengths
 from test_autodiff import grouped_dropout, reference_layer_norm
 
 
@@ -111,6 +111,12 @@ class TestInit:
         with pytest.raises(ValueError):
             EncoderConfig(d_model=6, n_heads=4, vocab_size=10).validate()
 
+    @pytest.mark.parametrize("field", ["d_model", "n_layers", "n_heads", "d_ffn"])
+    def test_zero_dimension(self, field):
+        # n_heads 0 is checked before d_model % n_heads is computed
+        with pytest.raises(ValueError, match="all encoder dimensions must be >= 1"):
+            tiny_config(**{field: 0}).validate()
+
     def test_invalid_max_len(self):
         with pytest.raises(ValueError):
             tiny_config(max_len=1).validate()
@@ -123,24 +129,25 @@ class TestForward:
         ids = np.array([[2, 3, 4, 0, 0, 0, 0, 0], [2, 5, 0, 0, 0, 0, 0, 0]])
         mask = (ids != 0).astype(np.int64)
         mask[:, 0] = 1
-        out = encode(params, cfg, ids, mask)
+        out, lengths = encode(params, cfg, ids, mask)
         assert out.shape == (5, 16)       # one row per real token
+        assert lengths.tolist() == [3, 2]
 
     def test_padding_invariance(self):
         # same 5 real tokens padded to 8 vs 16: identical real-position outputs
         cfg = tiny_config()
         params = init_encoder(cfg, seed=1)
         tokens = [2, 4, 7, 3, 9]
-        short = encode(params, cfg, *pad_batch(tokens, 8))
-        long = encode(params, cfg, *pad_batch(tokens, 16))
+        short, _ = encode(params, cfg, *pad_batch(tokens, 8))
+        long, _ = encode(params, cfg, *pad_batch(tokens, 16))
         np.testing.assert_allclose(short.data, long.data, atol=1e-10)
 
     def test_deterministic_without_dropout(self):
         cfg = tiny_config()
         params = init_encoder(cfg, seed=2)
         ids, mask = pad_batch([2, 3, 4], 8)
-        a = encode(params, cfg, ids, mask)
-        b = encode(params, cfg, ids, mask)
+        a, _ = encode(params, cfg, ids, mask)
+        b, _ = encode(params, cfg, ids, mask)
         assert np.array_equal(a.data, b.data)
 
     def test_id_out_of_range(self):
@@ -168,7 +175,7 @@ class TestForward:
             n = int(rng.integers(1, cfg.max_len + 1))
             tokens = rng.integers(0, cfg.vocab_size, n)
             tokens[0] = 2
-            out = encode(params, cfg, *pad_batch(tokens, cfg.max_len))
+            out, _ = encode(params, cfg, *pad_batch(tokens, cfg.max_len))
             assert np.isfinite(out.data).all()
 
     def test_ids_wider_than_max_len(self):
@@ -178,19 +185,33 @@ class TestForward:
         with pytest.raises(ValueError, match="9 positions wide.*max_len is 8"):
             encode(params, cfg, ids, mask)
 
-    @pytest.mark.parametrize("row", [[1, 0, 1, 0], [0, 1, 1, 0], [1, 2, 0, 0]])
+    @pytest.mark.parametrize("row", [
+        [1, 0, 1, 0],                   # a real token after PAD
+        [0, 1, 1, 0],                   # PAD first
+        [1, 2, 0, 0],                   # not 0/1
+        [0, 1, 1, 1],                   # PAD first
+        [1, 1, 0.5, 0],                 # not 0/1
+        [1, 1, 2, 0],                   # not 0/1
+    ])
     def test_mask_must_be_real_tokens_then_pad(self, row):
         cfg = tiny_config()
         params = init_encoder(cfg, seed=0)
         with pytest.raises(ValueError, match="real tokens followed by 0s for PAD"):
+            prefix_lengths(np.array([row]))
+        with pytest.raises(ValueError, match="real tokens followed by 0s for PAD"):
             encode(params, cfg, np.array([[2, 3, 4, 0]]), np.array([row]))
+
+    def test_prefix_lengths(self):
+        ragged = np.arange(4) < np.array([0, 3, 1, 4])[:, None]
+        assert prefix_lengths(ragged.astype(np.float64)).tolist() == [0, 3, 1, 4]
+        assert prefix_lengths(np.array([[True, False]])).tolist() == [1]
 
     def test_dropout_training_mode_differs(self):
         cfg = tiny_config(dropout_rate=0.5)
         params = init_encoder(cfg, seed=4)
         ids, mask = pad_batch([2, 3, 4, 5], 8)
-        a = encode(params, cfg, ids, mask, rng=np.random.default_rng(0))
-        b = encode(params, cfg, ids, mask, rng=np.random.default_rng(99))
+        a, _ = encode(params, cfg, ids, mask, rng=np.random.default_rng(0))
+        b, _ = encode(params, cfg, ids, mask, rng=np.random.default_rng(99))
         assert not np.array_equal(a.data, b.data)
 
 
@@ -221,7 +242,8 @@ class TestPackedMatchesPadded:
         weights = np.random.default_rng(seed).normal(size=ids.shape + (cfg.d_model,))
         weights *= mask[:, :, None]
         results = []
-        for fn, w in ((encode, weights[real]), (reference_encode, weights)):
+        packed = (lambda *args: encode(*args)[0], weights[real])
+        for fn, w in (packed, (reference_encode, weights)):
             params = init_encoder(cfg, seed=7)
             rng = np.random.default_rng(seed) if rate else None
             out = fn(params, cfg, ids, mask, rng)

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from offlang import encoder, mtl, training
+from offlang import autodiff, encoder, mtl, training
 from offlang.autodiff import Tensor
 from offlang.encoder import EncoderConfig
 from offlang.mtl import HeadConfig, LossWeights, MtlModel, batch_targets, mtl_loss
@@ -187,9 +187,9 @@ class TestOneGraphPerStep:
         outputs, original = [], mtl.encoder_forward
 
         def encode(*args):
-            out = original(*args)
+            out, lengths = original(*args)
             outputs.append(weakref.ref(out.data))
-            return out
+            return out, lengths
 
         monkeypatch.setattr(mtl, "encoder_forward", encode)
         model, step_loss = self.ragged_step()
@@ -348,6 +348,26 @@ class TestClsHead:
         (out, grads), (ref, ref_grads) = results
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
         assert_grads_close(grads, ref_grads)
+
+
+@pytest.mark.parametrize("head", ["logits_mtl", "cls_head"])
+def test_mask_is_checked_once_per_forward(monkeypatch, head):
+    """Past `encoder.encode` a batch is packed rows plus lengths: every
+    module that can reach `prefix_lengths` counts into one tally, and one
+    forward of either head runs it once."""
+    calls = []
+    for module in (autodiff, encoder, mtl, training):
+        if hasattr(module, "prefix_lengths"):
+            original = module.prefix_lengths
+            monkeypatch.setattr(module, "prefix_lengths",
+                                lambda mask, original=original: calls.append(1) or original(mask))
+    examples, vocab = small_setup(n=6)
+    ids, mask = encode_batch([e.tweet.text for e in examples], vocab, 12)
+    model = tiny_model(len(vocab))
+    forward = model.logits_mtl if head == "logits_mtl" else _cls_head(
+        model, np.random.default_rng(0), 2)[0]
+    forward(ids, mask, np.random.default_rng(1))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("entry", [train, train_baseline, pretrain_regression],
