@@ -192,6 +192,7 @@ class TestForward:
         [0, 1, 1, 1],                   # PAD first
         [1, 1, 0.5, 0],                 # not 0/1
         [1, 1, 2, 0],                   # not 0/1
+        [1, 1, 0, 1],                   # a real token after PAD, last
     ])
     def test_mask_must_be_real_tokens_then_pad(self, row):
         cfg = tiny_config()
