@@ -117,9 +117,10 @@ def encode(params: dict[str, Tensor], config: EncoderConfig,
     the layout `autodiff.lstm` and `autodiff.attention` read.
 
     The mask is read here and nowhere past here: each row must be 1 for the
-    row's real tokens, then 0 for PAD (`prefix_lengths` checks it once per
-    call). The embeddings, the Q/K/V/O and feed-forward projections, GELU,
-    layer norm, residuals and dropout all run on the packed rows.
+    row's real tokens, at least one of them, then 0 for PAD (`prefix_lengths`
+    checks the layout once per call). The embeddings, the Q/K/V/O and
+    feed-forward projections, GELU, layer norm, residuals and dropout all run
+    on the packed rows.
     `autodiff.attention` scores each row's tokens against each other in
     length-sorted groups of rows, each padded only to its own longest row,
     and PAD keys get zero weight. `rng` turns dropout on (training); None is
@@ -139,6 +140,8 @@ def encode(params: dict[str, Tensor], config: EncoderConfig,
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= config.vocab_size:
         raise ValueError("token id out of vocabulary range")
     lengths = prefix_lengths(np.asarray(mask))
+    if not lengths.all():
+        raise ValueError(f"mask row {np.argmin(lengths)} has no real token")
 
     rate = config.dropout_rate
     tokens = np.flatnonzero(np.arange(T) < lengths[:, None])     # row-major (b, t)

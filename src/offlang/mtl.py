@@ -7,8 +7,11 @@ mask in between, and the three heads run on them as one fused recurrence, a
 single `autodiff.lstm` node. NULL is an ordinary class for heads B and C.
 Inference (`forward_mtl`) builds no autodiff graph and returns each task's
 (N, C) probabilities in one PredictionTriple; indexing it gives a row, which
-is what `predict` returns. The single-task baseline is not part of the
-model: `training.train_baseline` trains a throwaway CLS head on its encoder.
+is what `predict` returns. It runs the rows `CHUNK_ROWS` at a time
+(`softmax_in_chunks`), so its memory is constant in the corpus size. The
+single-task baseline is not part of the model: `training.train_baseline`
+trains a throwaway CLS head on its encoder and validates it through the
+same chunk loop.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ TASK_CLASSES = {
     "b": [l.value for l in TaskLabelB],
     "c": [l.value for l in TaskLabelC],
 }
+# rows per inference forward, so that inference memory does not grow with
+# the corpus; also the training batch size
+CHUNK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -179,10 +185,11 @@ class MtlModel:
         }
 
     def forward_mtl(self, ids, mask) -> PredictionTriple:
-        """Per-task (N, C) softmax probabilities, as one batch PredictionTriple."""
-        with no_grad():
-            logits = self.logits_mtl(ids, mask)
-            return PredictionTriple(*(logits[task].softmax().data for task in TASKS))
+        """Per-task (N, C) softmax probabilities, as one batch PredictionTriple.
+        The rows run through `logits_mtl` `CHUNK_ROWS` at a time, so memory
+        is constant in N; a batch of at most `CHUNK_ROWS` rows is one call."""
+        probs = softmax_in_chunks(self.logits_mtl, ids, mask)
+        return PredictionTriple(*(probs[task] for task in TASKS))
 
     # -- parameter plumbing ----------------------------------------------------
 
@@ -195,6 +202,32 @@ class MtlModel:
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.grad = None
+
+
+def softmax_in_chunks(logits, ids, mask) -> dict[str, np.ndarray]:
+    """The row-wise softmax of each Tensor in the dict `logits(ids, mask)`
+    returns, as one (N, C) array per key, for ids and mask of N rows.
+
+    `logits` runs under `no_grad()` on `CHUNK_ROWS` rows at a time, in row
+    order, and each chunk's probabilities go into the preallocated outputs,
+    so memory is constant in N. An empty batch, or a mask whose shape
+    differs from that of ids, raises ValueError before any chunk runs.
+    """
+    ids, mask = np.asarray(ids), np.asarray(mask)
+    if len(ids) == 0:
+        raise ValueError("empty batch")
+    if mask.shape != ids.shape:
+        raise ValueError("mask must have the shape of ids")
+    out: dict[str, np.ndarray] = {}
+    with no_grad():
+        for start in range(0, len(ids), CHUNK_ROWS):
+            chunk = slice(start, start + CHUNK_ROWS)
+            for key, tensor in logits(ids[chunk], mask[chunk]).items():
+                probs = tensor.softmax().data
+                if key not in out:
+                    out[key] = np.empty((len(ids),) + probs.shape[1:], probs.dtype)
+                out[key][chunk] = probs
+    return out
 
 
 def batch_targets(examples: list[LabeledExample]):

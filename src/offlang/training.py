@@ -13,7 +13,9 @@ import numpy as np
 from . import evaluation
 from .autodiff import Tensor, affine, cross_entropy, no_grad
 from .corpus import LabeledExample, ScoredExample
-from .mtl import TASK_CLASSES, TASKS, LossWeights, MtlModel, batch_targets, mtl_loss
+from .mtl import (
+    TASK_CLASSES, TASKS, LossWeights, MtlModel, batch_targets, mtl_loss, softmax_in_chunks,
+)
 from .tokenizer import Vocabulary, encode_batch
 
 
@@ -236,8 +238,8 @@ def train_baseline(model: MtlModel, vocab: Vocabulary,
                              targets["a"][batch], np.ones(len(batch)))
 
     def validate():
-        with no_grad():
-            probs = logits(val_ids, val_mask).softmax().data
+        probs = softmax_in_chunks(lambda *batch: {"a": logits(*batch)},
+                                  val_ids, val_mask)["a"]
         preds = [TASK_CLASSES["a"][int(i)] for i in probs.argmax(axis=1)]
         return {"a": evaluation.macro_f1(val_golds, preds, TASK_CLASSES["a"]),
                 "b": 0.0, "c": 0.0}

@@ -202,6 +202,16 @@ class TestForward:
         with pytest.raises(ValueError, match="real tokens followed by 0s for PAD"):
             encode(params, cfg, np.array([[2, 3, 4, 0]]), np.array([row]))
 
+    @pytest.mark.parametrize("lengths, row", [([2, 0, 3], 1), ([2, 0], 1), ([0], 0)])
+    def test_row_without_real_token(self, lengths, row):
+        """A mask row of PAD alone has no CLS row for the heads to read:
+        `encode` names it instead of packing zero rows for it."""
+        cfg = tiny_config()
+        params = init_encoder(cfg, seed=0)
+        mask = (np.arange(4) < np.array(lengths)[:, None]).astype(np.int64)
+        with pytest.raises(ValueError, match=f"mask row {row} has no real token"):
+            encode(params, cfg, np.where(mask, 3, 0), mask)
+
     def test_prefix_lengths(self):
         ragged = np.arange(4) < np.array([0, 3, 1, 4])[:, None]
         assert prefix_lengths(ragged.astype(np.float64)).tolist() == [0, 3, 1, 4]
@@ -218,15 +228,15 @@ class TestForward:
 
 @st.composite
 def ragged_batches(draw):
-    """ids and a prefix mask: B 1-6, T 1-10; rows of every length from 0
-    (all PAD) to T, CLS first."""
+    """ids and a prefix mask: B 1-6, T 1-10; rows of every length from 1
+    (CLS alone) to T, CLS first. `encode` rejects a row of length 0."""
     batch = draw(st.integers(1, 6))
     width = draw(st.integers(1, 10))
-    lengths = np.array(draw(st.lists(st.integers(0, width), min_size=batch, max_size=batch)))
+    lengths = np.array(draw(st.lists(st.integers(1, width), min_size=batch, max_size=batch)))
     mask = np.arange(width) < lengths[:, None]
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     ids = np.where(mask, rng.integers(3, 11, (batch, width)), 0)
-    ids[:, 0] = np.where(lengths > 0, 2, 0)
+    ids[:, 0] = 2
     return ids, mask.astype(np.int64), draw(st.integers(0, 2**32))
 
 

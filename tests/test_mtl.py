@@ -1,6 +1,7 @@
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from offlang.corpus import NormContext
 from offlang.encoder import EncoderConfig
 from offlang.evaluation import evaluate
 from offlang.mtl import (
+    CHUNK_ROWS,
     TASK_CLASSES,
     TASKS,
     HeadConfig,
@@ -31,7 +33,7 @@ from offlang.training import TrainConfig, train
 
 from test_autodiff import reference_lstm
 from test_encoder import assert_grads_close, reference_encode
-from test_training import param_digest
+from test_training import param_digest, ragged_corpus
 
 
 def weighted_total(l_a: float, l_b: float, l_c: float, weights: LossWeights) -> float:
@@ -106,7 +108,7 @@ class TestForward:
 
     def test_empty_batch(self, batch):
         model = batch[0]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty batch"):
             model.forward_mtl(np.zeros((0, 12), dtype=int), np.zeros((0, 12), dtype=int))
 
     def test_argmax_invariant_to_logit_shift(self, batch):
@@ -115,6 +117,76 @@ class TestForward:
         model.params["head_b.out.b"].data += 7.5
         after = model.forward_mtl(ids, mask).label("b")
         assert before == after
+
+
+class TestChunkedInference:
+    """`forward_mtl` runs its rows `CHUNK_ROWS` at a time."""
+
+    @pytest.fixture(scope="class")
+    def ragged(self):
+        examples = ragged_corpus(100, seed=3)
+        vocab = build_vocab([e.tweet.text for e in examples])
+        ids, mask = encode_batch([e.tweet.text for e in examples], vocab, 24)
+        return tiny_model(len(vocab), seed=1, max_len=24), ids, mask
+
+    @staticmethod
+    def whole_batch(model, ids, mask):
+        with no_grad():
+            logits = model.logits_mtl(ids, mask)
+            return {task: logits[task].softmax().data for task in TASKS}
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 100])
+    def test_matches_one_whole_batch_call(self, ragged, n):
+        """The same labels as one `logits_mtl` call over all n rows, and
+        probabilities within 1e-15 absolute: only the matrix products'
+        summation order can differ with the number of rows."""
+        model, ids, mask = ragged
+        chunked = model.forward_mtl(ids[:n], mask[:n])
+        whole = self.whole_batch(model, ids[:n], mask[:n])
+        for task in TASKS:
+            assert chunked.probs(task).shape == whole[task].shape
+            assert np.array_equal(chunked.probs(task).argmax(axis=1), whole[task].argmax(axis=1))
+            assert np.abs(chunked.probs(task) - whole[task]).max() <= 1e-15
+            if n <= CHUNK_ROWS:           # one chunk is the single call
+                assert chunked.probs(task).tobytes() == whole[task].tobytes()
+
+    @pytest.mark.parametrize("n, calls", [(1, [1]), (32, [32]), (33, [32, 1]),
+                                          (100, [32, 32, 32, 4])])
+    def test_chunks_run_in_row_order(self, ragged, monkeypatch, n, calls):
+        model, ids, mask = ragged
+        seen = []
+        logits_mtl = model.logits_mtl
+        monkeypatch.setattr(model, "logits_mtl",
+                            lambda i, m: seen.append(i.copy()) or logits_mtl(i, m))
+        model.forward_mtl(ids[:n], mask[:n])
+        assert [len(i) for i in seen] == calls
+        assert np.array_equal(np.concatenate(seen), ids[:n])
+
+    @pytest.mark.parametrize("n_ids, n_mask", [(40, 50), (64, 70)])
+    def test_mask_with_more_rows_than_ids(self, ragged, n_ids, n_mask):
+        """The mask rows past the last row of ids never reach a chunk, so
+        the whole batch is checked before the first one runs."""
+        model, ids, mask = ragged
+        with pytest.raises(ValueError, match="mask must have the shape of ids"):
+            model.forward_mtl(ids[:n_ids], mask[:n_mask])
+
+    def test_evaluate_memory_is_constant_in_the_corpus(self):
+        """The traced peak of `evaluate` over 16 chunks of rows stays within
+        1.5x its peak over 2 chunks (a single whole-batch forward grows
+        about 7x)."""
+        examples = make_hierarchical_corpus(2 * CHUNK_ROWS, seed=0)
+        vocab = build_vocab([e.tweet.text for e in examples])
+        model = tiny_model(len(vocab))
+        peaks = []
+        for corpus in (examples, examples * 8):
+            evaluate(model, vocab, corpus)              # warms caches outside the trace
+            tracemalloc.start()
+            try:
+                evaluate(model, vocab, corpus)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestPredictionTriple:

@@ -370,6 +370,35 @@ def test_mask_is_checked_once_per_forward(monkeypatch, head):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("head", ["logits_mtl", "cls_head"])
+@pytest.mark.parametrize("lengths", [[2, 0, 3], [2, 0]])
+def test_row_without_real_token_is_rejected(head, lengths):
+    """An all-PAD row has no CLS row: neither head may read another row's
+    (unchecked, `_cls_head` gave row 1 the logits of row 2 for lengths
+    [2, 0, 3] and raised IndexError for [2, 0]), nor the bare output bias."""
+    model = tiny_model(8)
+    mask = (np.arange(4) < np.array(lengths)[:, None]).astype(np.int64)
+    ids = np.where(mask, 3, 0)
+    forward = model.logits_mtl if head == "logits_mtl" else _cls_head(
+        model, np.random.default_rng(0), 2)[0]
+    with pytest.raises(ValueError, match="mask row 1 has no real token"):
+        forward(ids, mask)
+
+
+def test_baseline_validation_runs_in_chunks(monkeypatch):
+    """`train_baseline` validates through the inference chunk loop: its
+    40-row validation set reaches the encoder as 32 rows, then 8."""
+    examples, vocab = small_setup(n=50)
+    model = tiny_model(len(vocab))
+    sizes = []
+    encode = model.encode
+    monkeypatch.setattr(model, "encode", lambda ids, *rest: sizes.append(len(ids))
+                        or encode(ids, *rest))
+    train_baseline(model, vocab, examples[:10], examples[10:],
+                   TrainConfig(batch_size=10, max_epochs=1))
+    assert sizes == [10, mtl.CHUNK_ROWS, 40 - mtl.CHUNK_ROWS]
+
+
 @pytest.mark.parametrize("entry", [train, train_baseline, pretrain_regression],
                          ids=lambda f: f.__name__)
 def test_nan_parameter_raises_non_finite_loss(entry):
