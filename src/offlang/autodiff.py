@@ -17,6 +17,13 @@ activations die as soon as the last closure that reads them has run, and
 training holds one graph at a time. A graph therefore runs backward once
 per forward; a second backward through it raises ValueError.
 
+The fused nodes keep only what their backward reads, and rebuild in one
+pass what their parents give back: `lstm` keeps its gate activations,
+cells and tanh(cells) and overwrites them with gradients in backward;
+`attention` keeps each group's softmax probabilities and boolean dropout
+mask; `layer_norm` keeps x - mean and two per-row statistics; `dropout`
+keeps a boolean mask; and `affine` keeps nothing but its parents.
+
 Execution is packed: token activations are (N, ...) rows, one per real
 token in row-major order, and the packed ops, `lstm` and `attention`, take
 the batch's row `lengths` with them; no op reads a padding mask. `lstm`
@@ -363,11 +370,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Layer norm over the last axis, (x - mean) / sqrt(var + LN_EPS) *
     gamma + beta, as one node. Forward and backward evaluate the same
     expressions, in the same order, as the composed ops (`mean`, `-`, `**`,
-    `*`, `+`) would, so the results are bit-identical to them."""
+    `*`, `+`) would, so the results are bit-identical to them. The node
+    keeps x - mean, the variance plus LN_EPS and its inverse square root;
+    the gamma gradient recomputes the normalized x from them."""
     inv_n = 1.0 / x.data.shape[-1]
     centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
     shifted_var = (centered ** 2.0).sum(axis=-1, keepdims=True) * inv_n + LN_EPS
     inv_std = shifted_var ** -0.5
+    # a named temporary: folded into one expression, whose temporaries numpy
+    # reuses in place, it left the benchmark's `infer` loop about 2 MiB more
+    # peak RSS (glibc's heap fragments another way)
     normed = centered * inv_std
     out_data = normed * gamma.data + beta.data
 
@@ -375,7 +387,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         if beta.requires_grad:
             beta._accumulate(_unbroadcast(g, beta.data.shape))
         if gamma.requires_grad:
-            gamma._accumulate(_unbroadcast(g * normed, gamma.data.shape))
+            gamma._accumulate(_unbroadcast(g * (centered * inv_std), gamma.data.shape))
         if x.requires_grad:
             d_normed = g * gamma.data
             d_inv_std = (d_normed * centered).sum(axis=-1, keepdims=True)
@@ -404,7 +416,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, lengths: np.ndarray, n_heads: int
     padding or mask.
     With `rng` and `rate` > 0 the softmax weights get inverted dropout, one
     keep mask drawn per group, in group order, at its block's shape. The
-    backward is written by hand; inside `no_grad()` no block is kept.
+    backward is written by hand. Each group keeps its softmax probabilities
+    and, with dropout, its boolean keep mask; backward rebuilds the float
+    keep mask and the dropped-out weights from them, and gathers each
+    group's head-layout q, k and v again from the parents. Inside
+    `no_grad()` no block is kept.
     """
     lengths = np.asarray(lengths)
     n_tokens = int(lengths.sum())
@@ -451,28 +467,32 @@ def attention(q: Tensor, k: Tensor, v: Tensor, lengths: np.ndarray, n_heads: int
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
-        keep = None
+        kept = None
         weights = probs
         if rng is not None and rate > 0.0:
-            keep = (rng.random(probs.shape) >= rate) / (1.0 - rate)
-            weights = probs * keep
+            kept = rng.random(probs.shape) >= rate
+            weights = probs * (kept / (1.0 - rate))
         to_tokens(out_data, group, weights @ vh)
         if keep_graph:
-            blocks.append((group, qh, kh, vh, probs, keep, weights))
+            blocks.append((group, probs, kept))
 
     def backward(g):
         grads = [np.empty((n_tokens, d)) for _ in range(3)]
-        for group, qh, kh, vh, probs, keep, weights in blocks:
+        for group, probs, kept in blocks:
+            weights = probs
+            if kept is not None:
+                keep = kept / (1.0 - rate)
+                weights = probs * keep
             d_ctx = to_heads(g, group)
-            d_scores = d_ctx @ vh.transpose(0, 1, 3, 2)
+            d_scores = d_ctx @ to_heads(v.data, group).transpose(0, 1, 3, 2)
             d_vh = weights.transpose(0, 1, 3, 2) @ d_ctx
-            if keep is not None:
+            if kept is not None:
                 d_scores *= keep
             d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
             d_scores *= probs
             d_scores *= scale
-            d_qh = d_scores @ kh
-            d_kh = d_scores.transpose(0, 1, 3, 2) @ qh
+            d_qh = d_scores @ to_heads(k.data, group)
+            d_kh = d_scores.transpose(0, 1, 3, 2) @ to_heads(q.data, group)
             for packed, block in zip(grads, (d_qh, d_kh, d_vh)):
                 to_tokens(packed, group, block)
         for t, grad in zip((q, k, v), grads):
@@ -506,9 +526,13 @@ def lstm(x: Tensor, lengths: np.ndarray, heads: list) -> Tensor:
     Inside `no_grad()` only the running state and the input projection
     exist. With a graph, each step copies its gate activations over its own
     entries of the input projection and its cell and tanh(cell) into
-    time-major buffers; the hand-written BPTT walks the same prefixes
-    backwards over them, and dx and the stacked wx gradient are one GEMM
-    each.
+    time-major buffers, and the node keeps only these three. The
+    hand-written BPTT overwrites each gate's activations with the gate's
+    local derivative, uses the spent cell buffers for c_prev * f and
+    d c / d h, and keeps one copy of f; walking the same prefixes
+    backwards, it turns the gate buffer into the gate gradient in place.
+    dx and the stacked wx gradient are one GEMM each, the latter over x's
+    rows gathered again from x.
     """
     K = len(heads)
     h = heads[0][2].shape[0]
@@ -526,10 +550,9 @@ def lstm(x: Tensor, lengths: np.ndarray, heads: list) -> Tensor:
     rank = np.arange(n) - starts[step_of]              # place in its step's live prefix
     row_of = order[rank]
     token_of = np.cumsum(lengths)[row_of] - lengths[row_of] + step_of   # its row of x
-    x_packed = x.data[token_of]                        # (n, d), time-major
     wx_cat = np.concatenate([wx.data for wx, _, _, _ in heads], axis=1)   # (d, K * 4h)
     wh_all = np.stack([wh.data for _, _, wh, _ in heads])                 # (K, h, 4h)
-    xg = x_packed @ wx_cat
+    xg = x.data[token_of] @ wx_cat                     # x's rows gathered time-major
     xg += np.concatenate([bx.data + bh.data for _, bx, _, bh in heads])
     xg = xg.reshape(n, K, 4 * h)
     xg_k = xg.transpose(1, 0, 2)                       # (K, n, 4h) view
@@ -581,26 +604,44 @@ def lstm(x: Tensor, lengths: np.ndarray, heads: list) -> Tensor:
         acts = xg.reshape(n, K, 4, h)
         i_a, f_a, g_a, o_a = (acts[:, :, j] for j in range(4))
         # an entry's previous state is that of the entry of the same rank one
-        # step earlier; entries of step 0 start from zero
-        first = bounds[1] if steps else 0
-        prev = starts[step_of[first:] - 1] + rank[first:]
-        c_prev = np.zeros((n, K, h))
-        c_prev[first:] = cells[prev]
+        # step earlier, so step t's entries read the first entries of step
+        # t - 1; entries of step 0 start from zero. Walking back in time, step
+        # t overwrites its own cells with c_prev * f while step t - 1's cells,
+        # which it reads, are still intact.
         h_prev = np.zeros((n, K, h))
-        h_prev[first:] = o_a[prev] * tanh_cells[prev]
-        # d gate pre-activation / d c_new for i, f, g and / d h_new for o,
-        # for every entry at once; step t then scales its own entries into
-        # d gate pre-activation, so the buffer ends as the gate gradient
-        local = np.empty_like(acts)
-        local[:, :, 0] = g_a * i_a * (1.0 - i_a)
-        local[:, :, 1] = c_prev * f_a * (1.0 - f_a)
-        local[:, :, 2] = i_a * (1.0 - g_a * g_a)
-        local[:, :, 3] = tanh_cells * o_a * (1.0 - o_a)
-        dc_dh = o_a * (1.0 - tanh_cells * tanh_cells)  # d c_new / d h_new
-        local_k = local.transpose(1, 0, 2, 3)          # (K, n, 4, h) views
-        dxg = local.reshape(n, K * 4 * h)
-        dxg_k = local.reshape(n, K, 4 * h).transpose(1, 0, 2)
-        dc_dh_k, f_k = dc_dh.transpose(1, 0, 2), f_a.transpose(1, 0, 2)
+        for t in range(steps - 1, 0, -1):
+            lo, hi = bounds[t], bounds[t + 1]
+            prev = slice(bounds[t - 1], bounds[t - 1] + hi - lo)
+            np.multiply(o_a[prev], tanh_cells[prev], out=h_prev[lo:hi])
+            np.multiply(cells[prev], f_a[lo:hi], out=cells[lo:hi])
+        cells[:bounds[1] if steps else 0] = 0.0
+        f_k = f_a.copy().transpose(1, 0, 2)            # the BPTT loop still reads f
+        # over the spent activations, each gate slot becomes d gate
+        # pre-activation / d c_new for i, f, g and / d h_new for o, evaluated
+        # as (g * i) * (1 - i), (c_prev * f) * (1 - f), i * (1 - g * g) and
+        # (tanh(c) * o) * (1 - o); `cells` then holds d c_new / d h_new and
+        # `tanh_cells` is scratch. Step t then scales its own entries into
+        # d gate pre-activation, so xg ends as the gate gradient.
+        np.subtract(1.0, f_a, out=f_a)
+        f_a *= cells
+        dc_dh = cells                                  # o * (1 - tanh(c) * tanh(c))
+        np.multiply(tanh_cells, tanh_cells, out=dc_dh)
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= o_a
+        np.multiply(tanh_cells, o_a, out=tanh_cells)
+        np.subtract(1.0, o_a, out=o_a)
+        o_a *= tanh_cells
+        gi = tanh_cells
+        np.multiply(g_a, i_a, out=gi)
+        g_a *= g_a
+        np.subtract(1.0, g_a, out=g_a)
+        g_a *= i_a
+        np.subtract(1.0, i_a, out=i_a)
+        i_a *= gi
+        local_k = acts.transpose(1, 0, 2, 3)           # (K, n, 4, h) views
+        dxg = xg.reshape(n, K * 4 * h)
+        dxg_k = xg.transpose(1, 0, 2)
+        dc_dh_k = dc_dh.transpose(1, 0, 2)
         wh_t = wh_all.transpose(0, 2, 1)
 
         dh = g[:, order]                               # a row's gradient waits for its last step
@@ -621,13 +662,15 @@ def lstm(x: Tensor, lengths: np.ndarray, heads: list) -> Tensor:
             dc_v *= f_k[:, lo:hi]                      # d c before the step
             np.matmul(dxg_k[:, lo:hi], wh_t, out=dh_v)  # d h before the step
 
+        del f_k
+        dwh = h_prev.transpose(1, 2, 0) @ dxg_k        # (K, h, 4h)
+        del h_prev
+        dwx = x.data[token_of].T @ dxg                 # (d, K * 4h)
+        db = dxg.sum(axis=0)
         if x.requires_grad:
             dx = np.empty_like(x.data)
             dx[token_of] = dxg @ wx_cat.T              # a permutation: every row is written
             x._accumulate(dx)
-        dwx = x_packed.T @ dxg                         # (d, K * 4h)
-        dwh = h_prev.transpose(1, 2, 0) @ dxg_k        # (K, h, 4h)
-        db = dxg.sum(axis=0)
         for k, (wx, bx, wh, bh) in enumerate(heads):
             cols = slice(4 * h * k, 4 * h * (k + 1))
             if wx.requires_grad:

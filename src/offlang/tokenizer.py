@@ -78,12 +78,12 @@ def build_vocab(corpus, min_freq: int = 1, max_size: int | None = None) -> Vocab
 
 
 def encode_batch(texts, vocab: Vocabulary, max_len: int):
-    """(ids, mask) for a list of texts, each a (len(texts), max_len) int64
-    array. Row i is CLS and the ids of text i's whitespace tokens,
-    truncated to max_len (CLS counted) and PAD-filled; the mask marks the
-    real positions. A token missing from the vocabulary, or spelled like a
-    reserved name, is UNK, so PAD and CLS mark only padding and the
-    sequence start."""
+    """(ids, mask) for a list of texts: (len(texts), max_len) int64 ids and
+    a boolean mask of the same shape, one byte a position. Row i is CLS and
+    the ids of text i's whitespace tokens, truncated to max_len (CLS
+    counted) and PAD-filled; the mask is True at the real positions. A
+    token missing from the vocabulary, or spelled like a reserved name, is
+    UNK, so PAD and CLS mark only padding and the sequence start."""
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
     rows = [text.split()[:max_len - 1] for text in texts]
@@ -95,4 +95,4 @@ def encode_batch(texts, vocab: Vocabulary, max_len: int):
     ids = np.full(real.shape, PAD, dtype=np.int64)
     ids[:, 0] = CLS
     ids[:, 1:][real[:, 1:]] = tokens
-    return ids, real.astype(np.int64)
+    return ids, real

@@ -144,7 +144,9 @@ def fit(params: dict[str, Tensor], n: int, step_loss, config: TrainConfig,
     optimizer = Adam(params, config.learning_rate)
     history = TrainHistory()
     stopper = EarlyStopper(config.patience)
-    best_state = {name: t.data.copy() for name, t in params.items()}
+    best_state = None
+    if validate is not None:    # a run whose F1 never improves restores these
+        best_state = {name: t.data.copy() for name, t in params.items()}
 
     for epoch in range(1, config.max_epochs + 1):
         epoch_losses = []

@@ -411,6 +411,19 @@ class TestAffine:
         assert np.array_equal(out.data, (x @ w + b).data)
 
 
+def closure_arrays(node: Tensor) -> list[np.ndarray]:
+    """The arrays that `node`'s backward closure keeps, in the tuples and
+    lists it keeps too."""
+    arrays, stack = [], [cell.cell_contents for cell in node._backward.__closure__]
+    while stack:
+        value = stack.pop(0)
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, (tuple, list)):
+            stack[:0] = value
+    return arrays
+
+
 class TestDropoutNode:
     @settings(max_examples=60, deadline=None)
     @given(packed_rows(), st.sampled_from([0.1, 0.5, 0.9]))
@@ -469,6 +482,139 @@ def reference_lstm(x: Tensor, mask: np.ndarray, wx: Tensor, bx: Tensor,
     return h_t
 
 
+def allocating_lstm(x: Tensor, lengths: np.ndarray, heads: list) -> Tensor:
+    """The slow path of `lstm`, which its in-place backward must match bit
+    for bit: the same forward, then a backward that builds new (N, K, h)
+    c_prev, h_prev and d c / d h arrays and a new (N, K, 4h) array of local
+    derivatives, leaving the saved gate activations as they are."""
+    K = len(heads)
+    h = heads[0][2].shape[0]
+    lengths = np.asarray(lengths)
+    B, n = len(lengths), int(lengths.sum())
+    steps = int(lengths.max(initial=0))
+    order = np.argsort(-lengths, kind="stable")
+    sizes = np.count_nonzero(lengths[:, None] > np.arange(steps), axis=0)   # live rows per step
+    starts = np.concatenate(([0], np.cumsum(sizes)))    # step t: entries starts[t]:starts[t + 1]
+    bounds = starts.tolist()
+    step_of = np.repeat(np.arange(steps), sizes)
+    rank = np.arange(n) - starts[step_of]              # place in its step's live prefix
+    row_of = order[rank]
+    token_of = np.cumsum(lengths)[row_of] - lengths[row_of] + step_of   # its row of x
+    x_packed = x.data[token_of]                        # (n, d), time-major
+    wx_cat = np.concatenate([wx.data for wx, _, _, _ in heads], axis=1)   # (d, K * 4h)
+    wh_all = np.stack([wh.data for _, _, wh, _ in heads])                 # (K, h, 4h)
+    xg = x_packed @ wx_cat
+    xg += np.concatenate([bx.data + bh.data for _, bx, _, bh in heads])
+    xg = xg.reshape(n, K, 4 * h)
+    xg_k = xg.transpose(1, 0, 2)                       # (K, n, 4h) view
+    # sigmoid(z) = tanh(z / 2) / 2 + 1 / 2 on the i, f and o blocks, tanh(z)
+    # on g; full-shape factors keep the in-place ops free of broadcasting
+    scale = np.full((K, B, 4 * h), 0.5)
+    scale[:, :, 2 * h:3 * h] = 1.0
+    shift = 1.0 - scale
+
+    parents = (x,) + tuple(p for head in heads for p in head)
+    keep_graph = autodiff._grad_enabled.get() and any(p.requires_grad for p in parents)
+    if keep_graph:
+        cells = np.empty((n, K, h))                    # each entry's new cell
+        tanh_cells = np.empty((n, K, h))
+        cells_k, tanh_cells_k = cells.transpose(1, 0, 2), tanh_cells.transpose(1, 0, 2)
+    # running state, longest row first; a row past the live prefix keeps the
+    # state of its last real token
+    hs = np.zeros((K, B, h))
+    cs = np.zeros((K, B, h))
+    gates = np.empty((K, B, 4 * h))
+    tmp = np.empty((K, B, h))
+    live = -1
+    for t in range(steps):
+        lo, hi = bounds[t], bounds[t + 1]
+        if hi - lo != live:
+            live = hi - lo
+            h_v, c_v, g_v, t_v = hs[:, :live], cs[:, :live], gates[:, :live], tmp[:, :live]
+            i_v, f_v, gg_v, o_v = (g_v[:, :, j * h:(j + 1) * h] for j in range(4))
+            s_v, sh_v = scale[:, :live], shift[:, :live]
+        np.matmul(h_v, wh_all, out=g_v)
+        g_v += xg_k[:, lo:hi]
+        g_v *= s_v
+        np.tanh(g_v, out=g_v)
+        g_v *= s_v
+        g_v += sh_v
+        c_v *= f_v
+        np.multiply(i_v, gg_v, out=t_v)
+        c_v += t_v
+        np.tanh(c_v, out=t_v)
+        np.multiply(o_v, t_v, out=h_v)
+        if keep_graph:
+            xg_k[:, lo:hi] = g_v                       # this step's inputs are spent
+            cells_k[:, lo:hi] = c_v
+            tanh_cells_k[:, lo:hi] = t_v
+    out_data = np.empty_like(hs)
+    out_data[:, order] = hs
+
+    def backward(g):
+        acts = xg.reshape(n, K, 4, h)
+        i_a, f_a, g_a, o_a = (acts[:, :, j] for j in range(4))
+        # an entry's previous state is that of the entry of the same rank one
+        # step earlier; entries of step 0 start from zero
+        first = bounds[1] if steps else 0
+        prev = starts[step_of[first:] - 1] + rank[first:]
+        c_prev = np.zeros((n, K, h))
+        c_prev[first:] = cells[prev]
+        h_prev = np.zeros((n, K, h))
+        h_prev[first:] = o_a[prev] * tanh_cells[prev]
+        # d gate pre-activation / d c_new for i, f, g and / d h_new for o,
+        # for every entry at once; step t then scales its own entries into
+        # d gate pre-activation, so the buffer ends as the gate gradient
+        local = np.empty_like(acts)
+        local[:, :, 0] = g_a * i_a * (1.0 - i_a)
+        local[:, :, 1] = c_prev * f_a * (1.0 - f_a)
+        local[:, :, 2] = i_a * (1.0 - g_a * g_a)
+        local[:, :, 3] = tanh_cells * o_a * (1.0 - o_a)
+        dc_dh = o_a * (1.0 - tanh_cells * tanh_cells)  # d c_new / d h_new
+        local_k = local.transpose(1, 0, 2, 3)          # (K, n, 4, h) views
+        dxg = local.reshape(n, K * 4 * h)
+        dxg_k = local.reshape(n, K, 4 * h).transpose(1, 0, 2)
+        dc_dh_k, f_k = dc_dh.transpose(1, 0, 2), f_a.transpose(1, 0, 2)
+        wh_t = wh_all.transpose(0, 2, 1)
+
+        dh = g[:, order]                               # a row's gradient waits for its last step
+        dc = np.zeros((K, B, h))
+        tmp = np.empty((K, B, h))
+        live = -1
+        for t in reversed(range(steps)):
+            lo, hi = bounds[t], bounds[t + 1]
+            if hi - lo != live:
+                live = hi - lo
+                dh_v, dc_v, t_v = dh[:, :live], dc[:, :live], tmp[:, :live]
+                dc_v3 = dc_v[:, :, None]
+            d_local = local_k[:, lo:hi]
+            np.multiply(dh_v, dc_dh_k[:, lo:hi], out=t_v)
+            dc_v += t_v                                # d c_new
+            d_local[:, :, :3] *= dc_v3
+            d_local[:, :, 3] *= dh_v
+            dc_v *= f_k[:, lo:hi]                      # d c before the step
+            np.matmul(dxg_k[:, lo:hi], wh_t, out=dh_v)  # d h before the step
+
+        if x.requires_grad:
+            dx = np.empty_like(x.data)
+            dx[token_of] = dxg @ wx_cat.T              # a permutation: every row is written
+            x._accumulate(dx)
+        dwx = x_packed.T @ dxg                         # (d, K * 4h)
+        dwh = h_prev.transpose(1, 2, 0) @ dxg_k        # (K, h, 4h)
+        db = dxg.sum(axis=0)
+        for k, (wx, bx, wh, bh) in enumerate(heads):
+            cols = slice(4 * h * k, 4 * h * (k + 1))
+            if wx.requires_grad:
+                wx._accumulate(dwx[:, cols])
+            if wh.requires_grad:
+                wh._accumulate(dwh[k])
+            for bias in (bx, bh):
+                if bias.requires_grad:
+                    bias._accumulate(db[cols])
+
+    return Tensor._result(out_data, parents, backward)
+
+
 D, H, T = 8, 5, 7
 # ragged rows: CLS only, full length, two in between; the last column is
 # PAD in every row, so the recurrence stops before it
@@ -525,7 +671,9 @@ def multi_inputs(seed, k=3, mask=MASK):
     return [random_inputs(seed, mask)[0]] + [a for head in heads for a in head]
 
 
-def multi_grads(arrays, mask, weights, reference):
+def multi_grads(arrays, mask, weights, reference, op=lstm):
+    """The output and gradients of `op`, or of one `reference_packed` per
+    head when `reference` is set."""
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     x, ws = tensors[0], tensors[1:]
     if reference:
@@ -534,7 +682,7 @@ def multi_grads(arrays, mask, weights, reference):
         out = np.stack([o.data for o in outs])
     else:
         heads = [ws[i:i + 4] for i in range(0, len(ws), 4)]
-        h_all = lstm(x, lengths_of(mask), heads)
+        h_all = op(x, lengths_of(mask), heads)
         loss = (h_all * Tensor(weights)).sum()
         out = h_all.data
     loss.backward()
@@ -636,7 +784,8 @@ def no_grad_lstm(arrays, mask):
 def check_against_reference(mask, k, seed):
     """`lstm` with k random heads on `mask`: the output under `no_grad()` is
     bit-identical to the graph's, within 1e-15 absolute of `reference_lstm`,
-    and every gradient within 1e-12 relative of the reference's."""
+    and every gradient within 1e-12 relative of the reference's; the output
+    and every gradient are bit-identical to `allocating_lstm`'s."""
     rng = np.random.default_rng(seed)
     arrays = [rng.normal(size=(int(mask.sum()), D))] + [
         a for _ in range(k) for a in (rng.normal(size=(D, 4 * H)) * 0.5,
@@ -646,7 +795,12 @@ def check_against_reference(mask, k, seed):
     weights = rng.normal(size=(k, len(mask), H))
     out, grads = multi_grads(arrays, mask, weights, reference=False)
     ref_out, ref_grads = multi_grads(arrays, mask, weights, reference=True)
+    slow_out, slow_grads = multi_grads(arrays, mask, weights, reference=False,
+                                       op=allocating_lstm)
     assert np.array_equal(no_grad_lstm(arrays, mask), out)
+    assert np.array_equal(slow_out, out)
+    for i, (g, slow) in enumerate(zip(grads, slow_grads)):
+        assert np.array_equal(g, slow), i
     assert np.abs(out - ref_out).max() <= 1e-15
     for i, (g, ref) in enumerate(zip(grads, ref_grads)):
         # an all-PAD mask builds no graph and packs x to zero rows
@@ -691,7 +845,7 @@ class TestTimeLoop:
                               * Tensor(weights)).sum(),
               *arrays)
 
-    def test_no_grad_keeps_no_per_entry_state(self):
+    def test_no_grad_keeps_no_per_entry_state(self, traced_peak):
         """Under no_grad the only per-entry array is the (N, K, 4h) input
         projection: no activations, states or cells are kept per entry."""
         batch, width, d, h, k = 64, 64, 64, 64, 3
@@ -702,15 +856,29 @@ class TestTimeLoop:
                  for _ in range(k)]
         lengths = np.full(batch, width)
         projection = batch * width * k * 4 * h * 8
-        tracemalloc.start()
-        try:
-            with no_grad():
-                out = lstm(x, lengths, heads)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        with no_grad():
+            out, peak = traced_peak(lambda: lstm(x, lengths, heads))
         assert out.shape == (k, batch, h)
         assert peak < 1.5 * projection, peak / projection
+
+    def test_backward_works_in_place(self, traced_peak):
+        """On a ragged batch of 32 rows up to 64 steps, backward's traced peak
+        above what the graph holds stays within 1.5x the (N, K, 4h) gate
+        buffer that the forward saves: the gate gradients overwrite it, and
+        no (N, K, 4h) local derivatives are allocated (the allocating
+        backward peaks at about 2.1x)."""
+        batch, d, h, k = 32, 32, 32, 3
+        rng = np.random.default_rng(0)
+        lengths = np.concatenate(([64, 1], rng.integers(1, 65, size=batch - 2)))
+        x = Tensor(rng.normal(size=(int(lengths.sum()), d)), requires_grad=True)
+        heads = [[Tensor(rng.normal(size=shape) * 0.1, requires_grad=True)
+                  for shape in ((d, 4 * h), (4 * h,), (h, 4 * h), (4 * h,))]
+                 for _ in range(k)]
+        loss = (lstm(x, lengths, heads) * Tensor(rng.normal(size=(k, batch, h)))).sum()
+        _, peak = traced_peak(loss.backward)
+        saved = x.data.shape[0] * k * 4 * h * 8
+        assert x.grad.shape == x.shape
+        assert peak <= 1.5 * saved, peak / saved
 
 
 @st.composite
@@ -784,6 +952,20 @@ class TestAttention:
         assert out._backward is None and out._parents == () and not out.requires_grad
         assert np.array_equal(out.data, attention(q, k, v, RAGGED, 2, 0.0, None).data)
 
+    def test_keeps_only_probabilities_and_bool_keep_masks(self):
+        """Per group the graph keeps the softmax probabilities and the
+        boolean dropout mask: no float keep mask, no dropped-out weights and
+        no head-layout copies of q, k and v, which backward gathers again."""
+        q, k, v = (Tensor(RNG.normal(size=(int(RAGGED.sum()), 10)), requires_grad=True)
+                   for _ in range(3))
+        out = attention(q, k, v, RAGGED, 2, 0.3, np.random.default_rng(3))
+        arrays = closure_arrays(out)
+        floats = [a for a in arrays if a.dtype == np.float64]
+        masks = [a for a in arrays if a.dtype == np.bool_]
+        # five groups: one row each, the all-PAD row left out
+        assert [a.shape for a in floats] == [a.shape for a in masks] == [
+            (1, 2, n, n) for n in (4, 4, 3, 2, 1)]
+
     @pytest.mark.parametrize("shape", [(13, 6), (15, 6), (14,)])
     def test_rows_must_match_lengths(self, shape):
         x = Tensor(np.zeros(shape))
@@ -810,6 +992,16 @@ class TestLayerNorm:
             results.append([out.data] + [t.grad for t in tensors])
         for got, want in zip(*results):
             assert np.array_equal(got, want)
+
+    def test_keeps_no_normalized_copy(self):
+        """The only (N, d) array the graph keeps is x - mean: the gamma
+        gradient recomputes (x - mean) * inv_std."""
+        x, gamma, beta = (Tensor(a, requires_grad=True) for a in
+                          (RNG.normal(size=(5, 6)), RNG.normal(size=6), RNG.normal(size=6)))
+        out = layer_norm(x, gamma, beta)
+        full = [a for a in closure_arrays(out) if a.shape == x.shape]
+        assert len(full) == 1
+        assert np.allclose(full[0], x.data - x.data.mean(axis=-1, keepdims=True))
 
     def test_finite_differences(self):
         x = RNG.normal(size=(5, 6)) * 2.0
@@ -864,3 +1056,15 @@ class TestNoGrad:
             done.set()
             worker.join(timeout=10)
         assert not worker.is_alive()
+
+
+class TestTracedPeak:
+    def test_returns_the_result_and_the_peak(self, traced_peak):
+        total, peak = traced_peak(lambda: np.ones(1 << 16).sum())
+        assert total == 1 << 16 and peak >= 8 << 16
+        assert not tracemalloc.is_tracing()
+
+    def test_stops_tracing_when_the_call_raises(self, traced_peak):
+        with pytest.raises(ZeroDivisionError):
+            traced_peak(lambda: 1 / 0)
+        assert not tracemalloc.is_tracing()

@@ -1,7 +1,6 @@
 import json
 import re
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -170,7 +169,7 @@ class TestChunkedInference:
         with pytest.raises(ValueError, match="mask must have the shape of ids"):
             model.forward_mtl(ids[:n_ids], mask[:n_mask])
 
-    def test_evaluate_memory_is_constant_in_the_corpus(self):
+    def test_evaluate_memory_is_constant_in_the_corpus(self, traced_peak):
         """The traced peak of `evaluate` over 16 chunks of rows stays within
         1.5x its peak over 2 chunks (a single whole-batch forward grows
         about 7x)."""
@@ -180,12 +179,7 @@ class TestChunkedInference:
         peaks = []
         for corpus in (examples, examples * 8):
             evaluate(model, vocab, corpus)              # warms caches outside the trace
-            tracemalloc.start()
-            try:
-                evaluate(model, vocab, corpus)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(lambda: evaluate(model, vocab, corpus))[1])
         assert peaks[1] <= 1.5 * peaks[0], peaks
 
 

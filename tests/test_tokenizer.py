@@ -179,7 +179,7 @@ class TestEncodeBatch:
         rows = [reference_encode(text, vocab, max_len) for text in texts]
         want_ids = np.array([r[0] for r in rows], dtype=np.int64).reshape(-1, max_len)
         want_mask = np.array([r[1] for r in rows], dtype=np.int64).reshape(-1, max_len)
-        assert ids.dtype == mask.dtype == np.int64
+        assert ids.dtype == np.int64 and mask.dtype == np.bool_
         assert ids.shape == mask.shape == (len(texts), max_len)
         assert np.array_equal(ids, want_ids) and np.array_equal(mask, want_mask)
 
@@ -187,4 +187,4 @@ class TestEncodeBatch:
     def test_empty_batch(self, max_len):
         ids, mask = encode_batch([], build_vocab(["a"]), max_len)
         assert ids.shape == mask.shape == (0, max_len)
-        assert ids.dtype == mask.dtype == np.int64
+        assert ids.dtype == np.int64 and mask.dtype == np.bool_

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,7 +8,9 @@ import pytest
 from offlang import autodiff, encoder, mtl, training
 from offlang.autodiff import Tensor
 from offlang.encoder import EncoderConfig
-from offlang.mtl import HeadConfig, LossWeights, MtlModel, batch_targets, mtl_loss
+from offlang.mtl import (
+    TASKS, HeadConfig, LossWeights, MtlModel, batch_targets, mtl_loss,
+)
 from offlang.synth import make_hierarchical_corpus, make_scored_corpus
 from offlang.training import (
     Adam,
@@ -155,6 +156,26 @@ class TestTrain:
         assert wins >= 95
 
 
+class TestFit:
+    def test_no_parameter_copy_without_validation(self, traced_peak):
+        """Without `validate` nothing restores a snapshot, so `fit` takes
+        none: its traced peak is Adam's two moment arrays and no third copy
+        of the parameters."""
+        params = {"w": Tensor(np.zeros(1 << 16), requires_grad=True)}
+        config = TrainConfig(batch_size=1, max_epochs=1)
+        _, peak = traced_peak(lambda: fit(params, 1, lambda batch, rng: Tensor(0.0), config,
+                                          np.random.default_rng(0)))
+        assert peak < 2.5 * params["w"].data.nbytes, peak / params["w"].data.nbytes
+
+    def test_f1_that_never_improves_restores_the_initial_parameters(self):
+        w = Tensor(np.ones(4), requires_grad=True)
+        config = TrainConfig(batch_size=1, max_epochs=2, patience=2)
+        history = fit({"w": w}, 1, lambda batch, rng: (w * w).sum(), config,
+                      np.random.default_rng(0), lambda: dict.fromkeys(TASKS, np.nan))
+        assert history.stopped_epoch == 2 and history.best_epoch == 0
+        assert np.array_equal(w.data, np.ones(4))
+
+
 class TestOneGraphPerStep:
     """Backward frees the graph it consumed, so a training step holds one
     graph at a time."""
@@ -200,20 +221,16 @@ class TestOneGraphPerStep:
         assert loss._parents == () and loss.grad is None
         assert all(t.grad is not None for t in model.params.values())
 
-    def test_two_step_fit_peaks_as_high_as_one_step(self):
+    def test_two_step_fit_peaks_as_high_as_one_step(self, traced_peak):
         """The previous step's graph is gone before the next forward runs:
         the traced peak of a two-step `fit` stays within 10% of a one-step
         `fit`'s."""
         peaks = []
         for steps in (1, 2):
             model, step_loss = self.ragged_step()
-            tracemalloc.start()
-            try:
-                fit(model.params, 32, step_loss, TrainConfig(batch_size=32, max_epochs=steps),
-                    np.random.default_rng(0))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            config = TrainConfig(batch_size=32, max_epochs=steps)
+            peaks.append(traced_peak(lambda: fit(model.params, 32, step_loss, config,
+                                                 np.random.default_rng(0)))[1])
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
     def test_ragged_seeded_run_matches_composed_ops(self, monkeypatch):
