@@ -22,7 +22,14 @@ pass what their parents give back: `lstm` keeps its gate activations,
 cells and tanh(cells) and overwrites them with gradients in backward;
 `attention` keeps each group's softmax probabilities and boolean dropout
 mask; `layer_norm` keeps x - mean and two per-row statistics; `dropout`
-keeps a boolean mask; and `affine` keeps nothing but its parents.
+keeps a boolean mask; `affine` keeps nothing but its parents; and `gelu`
+keeps nothing but its input, recomputing tanh in backward. A node's value
+stays alive as long as the node does, even where no backward reads it:
+the backwards of `+` and `dropout`, and `layer_norm`'s for x, need only
+their inputs' shapes. `Tensor.release` drops such a value once its
+consumers are built and keeps the shape; `encoder.encode` releases its
+embedding rows and every sum, projection and dropout output that feeds
+only these ops.
 
 Execution is packed: token activations are (N, ...) rows, one per real
 token in row-major order, and the packed ops, `lstm` and `attention`, take
@@ -66,7 +73,7 @@ def no_grad():
 class Tensor:
     """A numpy array plus a gradient slot and a backward closure."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_released")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -74,13 +81,34 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+        self._released = None     # the shape of a value dropped by `release`
 
     @property
     def shape(self):
-        return self.data.shape
+        return self.data.shape if self._released is None else self._released
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+    def __getattr__(self, name):
+        # reached only when normal lookup fails, as for `data` after `release`
+        if name == "data" and self._released is not None:
+            raise RuntimeError(f"the value of this {self._released} graph node was released; "
+                               "only its shape is kept")
+        raise AttributeError(f"'Tensor' object has no attribute {name!r}")
+
+    def release(self):
+        """Drop this graph node's value and keep only its shape, once every
+        consumer that reads it has been built. Only a consumer whose
+        backward needs nothing of it but its shape may follow: `+`,
+        `dropout` and `layer_norm`'s x. A later read of `.data` raises
+        RuntimeError, and the node's gradient is allocated from the shape.
+        A tensor outside a graph (a leaf, or any result under `no_grad()`)
+        keeps its value, so callers may release unconditionally: there,
+        only the caller's own names hold the value anyway."""
+        if self._backward is not None and self._released is None:
+            self._released = self.data.shape
+            del self.data
 
     # -- graph construction -------------------------------------------------
 
@@ -95,7 +123,7 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            self.grad = np.zeros(self.shape)
         self.grad += g
 
     def backward(self):
@@ -145,9 +173,9 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.data.shape))
+                self._accumulate(_unbroadcast(g, self.shape))
             if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.data.shape))
+                other._accumulate(_unbroadcast(g, other.shape))
 
         return Tensor._result(out_data, (self, other), backward)
 
@@ -172,9 +200,9 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
+                self._accumulate(_unbroadcast(g * other.data, self.shape))
             if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
+                other._accumulate(_unbroadcast(g * self.data, other.shape))
 
         return Tensor._result(out_data, (self, other), backward)
 
@@ -296,17 +324,20 @@ class Tensor:
         return Tensor._result(out_data, (self,), backward)
 
     def gelu(self):
-        # tanh approximation; smooth everywhere, which keeps finite-difference
-        # gradient checks clean (ReLU kinks would not)
-        c = np.sqrt(2.0 / np.pi)
+        """GELU in its tanh approximation, smooth everywhere, which keeps
+        finite-difference gradient checks clean (ReLU kinks would not). The
+        node keeps only its input, which its parent holds anyway: backward
+        recomputes tanh(inner) with the forward's expression, so the
+        gradient has the bits of one computed from a kept tanh."""
         x = self.data
-        inner = c * (x + 0.044715 * (x * x * x))
+        inner = _gelu_inner(x)
         t = np.tanh(inner)
         out_data = 0.5 * x * (1.0 + t)
 
         def backward(g):
             if self.requires_grad:
-                d_inner = c * (1.0 + 3 * 0.044715 * (x * x))
+                t = np.tanh(_gelu_inner(x))
+                d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
                 grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner
                 self._accumulate(g * grad)
 
@@ -333,6 +364,14 @@ def _consumed(g):
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def _gelu_inner(x):
+    """GELU's tanh argument, sqrt(2 / pi) * (x + 0.044715 x^3)."""
+    return _GELU_C * (x + 0.044715 * (x * x * x))
 
 
 def _sigmoid(x):

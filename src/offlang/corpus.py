@@ -100,7 +100,8 @@ class CorpusFormatError(ValueError):
 
 
 def _read_tsv(path, expected_header):
-    with open(path, encoding="utf-8") as handle:
+    # utf-8-sig drops the byte order mark that Excel and Notepad write
+    with open(path, encoding="utf-8-sig") as handle:
         lines = handle.read().split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -9,8 +9,16 @@ tokenizer's padding mask: past it, a batch is rows plus `lengths`.
 Attention, layer norm, each projection and each dropout are single autodiff
 nodes (`autodiff.attention`, `autodiff.layer_norm`, `autodiff.affine`,
 `autodiff.dropout`); attention pads each length-sorted group of rows only to
-its own longest row. `encoder_layout` gives the parameter names and shapes,
-and `init_params` fills them.
+its own longest row. In training, the graph keeps a value only where a
+backward reads it: the embedding rows, each residual sum, each sub-block's
+output projection and its dropout output feed only `+`, `dropout` and
+`layer_norm`, which need their shapes alone, so `encode` releases them
+(`Tensor.release`) as soon as their consumers are built. The graph then
+keeps the embedding dropout's output and, per layer, q, k, v, the
+attention context, the first norm's output, the feed-forward rows before
+and after GELU, and the second norm's output, the next layer's input.
+`encoder_layout` gives the parameter names and shapes, and `init_params`
+fills them.
 """
 
 from __future__ import annotations
@@ -150,15 +158,35 @@ def encode(params: dict[str, Tensor], config: EncoderConfig,
     def dense(x, name):
         return affine(x, params[f"{name}.w"], params[f"{name}.b"])
 
-    x = rows(params["tok_emb"], ids.reshape(-1)[tokens]) + rows(params["pos_emb"], pos)
-    x = dropout(x, rate, rng)
+    def add_norm(x, sub, ln):
+        """layer_norm(x + dropout(sub)) with `ln`'s gamma and beta. No
+        backward reads sub, its dropout output or the sum, only their
+        shapes, so each is released once its consumer is built. Without a
+        graph nothing is released, and a `sub` passed as a temporary dies
+        after the sum, as it would in one expression."""
+        dropped = dropout(sub, rate, rng)
+        total = x + dropped
+        sub.release()
+        dropped.release()
+        del sub, dropped
+        out = layer_norm(total, params[f"{ln}.gamma"], params[f"{ln}.beta"])
+        total.release()
+        return out
+
+    tok_rows = rows(params["tok_emb"], ids.reshape(-1)[tokens])
+    pos_rows = rows(params["pos_emb"], pos)
+    emb = tok_rows + pos_rows
+    tok_rows.release()
+    pos_rows.release()
+    x = dropout(emb, rate, rng)
+    if x is not emb:              # unchanged, emb is x, which the projections read
+        emb.release()
+    del tok_rows, pos_rows, emb   # without a graph, each dies where one expression frees it
     for layer in range(config.n_layers):
         p = f"layer{layer}"
         q, k, v = (dense(x, f"{p}.attn.{proj}") for proj in "qkv")
         ctx = attention(q, k, v, lengths, config.n_heads, rate, rng)
-        x = layer_norm(x + dropout(dense(ctx, f"{p}.attn.o"), rate, rng),
-                       params[f"{p}.ln1.gamma"], params[f"{p}.ln1.beta"])
+        x = add_norm(x, dense(ctx, f"{p}.attn.o"), f"{p}.ln1")
         ffn = dense(dense(x, f"{p}.ffn.in").gelu(), f"{p}.ffn.out")
-        x = layer_norm(x + dropout(ffn, rate, rng),
-                       params[f"{p}.ln2.gamma"], params[f"{p}.ln2.beta"])
+        x = add_norm(x, ffn, f"{p}.ln2")
     return x, lengths

@@ -75,6 +75,21 @@ def reference_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return centered * (var + LN_EPS) ** -0.5 * gamma + beta
 
 
+def kept_tanh_gelu(x: Tensor) -> Tensor:
+    """The GELU node that `Tensor.gelu` replaced: its backward reads a
+    tanh(inner) kept from the forward instead of recomputing it."""
+    c = np.sqrt(2.0 / np.pi)
+    data = x.data
+    t = np.tanh(c * (data + 0.044715 * (data * data * data)))
+
+    def backward(g):
+        if x.requires_grad:
+            d_inner = c * (1.0 + 3 * 0.044715 * (data * data))
+            x._accumulate(g * (0.5 * (1.0 + t) + 0.5 * data * (1.0 - t ** 2) * d_inner))
+
+    return Tensor._result(0.5 * data * (1.0 + t), (x,), backward)
+
+
 def length_groups(lengths) -> list[list[int]]:
     """The row groups `attention` runs, longest group first: the row
     indices sorted by length, longest first and stable, cut into
@@ -971,6 +986,96 @@ class TestAttention:
         x = Tensor(np.zeros(shape))
         with pytest.raises(ValueError, match="one per real token"):
             attention(x, x, x, RAGGED, 2, 0.0, None)
+
+
+class TestGelu:
+    def test_finite_differences(self):
+        w = RNG.normal(size=(5, 7))
+        check(lambda x: (x.gelu() * Tensor(w)).sum(), RNG.normal(size=(5, 7)) * 2.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(packed_rows(), st.sampled_from([0.1, 1.0, 4.0]))
+    def test_bit_identical_to_kept_tanh(self, case, spread):
+        """Backward recomputes tanh(inner) with the forward's expression,
+        so the output and the gradient have the bits of the kept-tanh
+        node's."""
+        n, d, seed = case
+        rng = np.random.default_rng(seed)
+        arrays, weights = [rng.normal(size=(n, d)) * spread], rng.normal(size=(n, d))
+        out, grads = grads_and_output(Tensor.gelu, arrays, weights)
+        ref_out, ref_grads = grads_and_output(kept_tanh_gelu, arrays, weights)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(grads[0], ref_grads[0])
+
+    def test_keeps_only_its_input(self):
+        x = Tensor(RNG.normal(size=(6, 4)), requires_grad=True)
+        out = x.gelu()
+        assert out._parents == (x,)
+        assert all(a is x.data for a in closure_arrays(out))
+
+
+class TestRelease:
+    """`Tensor.release` drops a graph node's value and keeps its shape."""
+
+    @staticmethod
+    def step(release: bool):
+        """x -> exp -> dropout -> + x -> layer_norm, with the values that no
+        backward reads (the exp, dropout and sum outputs) released once
+        their consumers exist; returns the leaves' gradients."""
+        x, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in
+                          (np.linspace(-1.0, 1.0, 24).reshape(4, 6), np.ones(6), np.zeros(6)))
+        e = x.exp()
+        dropped = dropout(e, 0.5, np.random.default_rng(0))
+        total = x + dropped
+        out = layer_norm(total, gamma, beta)
+        if release:
+            for node in (e, dropped, total):
+                node.release()
+        (out * Tensor(np.arange(24.0).reshape(4, 6))).sum().backward()
+        return [t.grad for t in (x, gamma, beta)]
+
+    def test_reading_a_released_value_raises(self):
+        x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        y = x * 2.0
+        z = y + 1.0
+        y.release()
+        with pytest.raises(RuntimeError, match=r"this \(3, 4\) graph node was released"):
+            y.data
+        assert y.shape == (3, 4) and repr(y) == "Tensor(shape=(3, 4), requires_grad=True)"
+        with pytest.raises(AttributeError):
+            y.value
+        assert z.data.shape == (3, 4)
+
+    def test_released_nodes_route_gradients_bit_identically(self):
+        for got, want in zip(self.step(release=True), self.step(release=False)):
+            assert np.array_equal(got, want)
+
+    def test_release_frees_the_array(self):
+        x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        y = x * 3.0                  # `*` keeps its inputs, not its output
+        loss = (y + x).sum()
+        ref = weakref.ref(y.data)
+        y.release()
+        assert ref() is None
+        loss.backward()
+        assert np.array_equal(x.grad, np.full((3, 4), 4.0))
+
+    def test_a_backward_that_reads_a_released_value_fails_loudly(self):
+        x = Tensor(RNG.normal(size=4), requires_grad=True)
+        y = x.exp()
+        loss = (y * y).sum()
+        y.release()
+        with pytest.raises(RuntimeError, match="was released"):
+            loss.backward()
+
+    def test_values_outside_a_graph_are_kept(self):
+        leaf = Tensor(RNG.normal(size=3), requires_grad=True)
+        constant = Tensor(RNG.normal(size=3)) * 2.0           # no parent needs a gradient
+        with no_grad():
+            quiet = leaf * 2.0
+        for t in (leaf, constant, quiet):
+            t.release()
+            assert t.data.shape == (3,)
 
 
 class TestLayerNorm:

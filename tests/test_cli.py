@@ -217,6 +217,16 @@ class TestPreprocess:
         assert dispatch(["preprocess", "--input", str(raw), "--output", str(out)]) == 0
         assert "@users http keith ellison abuse" in out.read_text(encoding="utf-8")
 
+    def test_reads_a_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        raw = tmp_path / "excel.tsv"
+        raw.write_text("id\ttweet\tsubtask_a\tsubtask_b\tsubtask_c\n"
+                       "7\tgood morning\tNOT\tNULL\tNULL\n", encoding="utf-8-sig")
+        out = tmp_path / "norm.tsv"
+        assert dispatch(["preprocess", "--input", str(raw), "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text(encoding="utf-8").splitlines()[1].split("\t")[:2] == [
+            "7", "good morning"]
+
 
 class TestTrainEvaluate:
     def test_end_to_end_reproducible(self, tmp_path, capsys):

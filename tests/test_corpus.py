@@ -102,6 +102,13 @@ class TestLoadLabeled:
         with pytest.raises(CorpusFormatError, match=":1:"):
             load_labeled(path, context)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, context):
+        path = tmp_path / "excel.tsv"
+        path.write_text(self.HEADER + "1\tNice day\tNOT\tNULL\tNULL\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        (ex,) = load_labeled(path, context)
+        assert ex.tweet.id == "1" and ex.labels.a is TaskLabelA.NOT
+
     def test_save_load_roundtrip(self, tmp_path, context):
         path = tmp_path / "olid.tsv"
         path.write_text(
@@ -126,6 +133,12 @@ class TestLoadScored:
         path.write_text(self.HEADER + "1\thello\t0.5\t0.1\n", encoding="utf-8")
         (ex,) = load_scored(path, context)
         assert ex.avg_conf == 0.5 and ex.std_conf == 0.1
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, context):
+        path = tmp_path / "excel.tsv"
+        path.write_text(self.HEADER + "1\thello\t0.5\t0.1\n", encoding="utf-8-sig")
+        (ex,) = load_scored(path, context)
+        assert ex.tweet.id == "1" and ex.avg_conf == 0.5
 
     def test_out_of_range_score(self, tmp_path, context):
         path = tmp_path / "solid.tsv"

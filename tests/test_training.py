@@ -26,6 +26,7 @@ from offlang.training import (
 )
 from offlang.tokenizer import build_vocab, encode_batch
 
+from test_autodiff import kept_tanh_gelu
 from test_encoder import assert_grads_close, reference_encode
 
 
@@ -49,6 +50,20 @@ def ragged_corpus(n, seed):
     return [dataclasses.replace(ex, tweet=dataclasses.replace(
         ex.tweet, text=" ".join(ex.tweet.text.split()[:k])))
         for ex, k in zip(examples, keep)]
+
+
+def op_of(node: Tensor) -> str:
+    """The op that built a graph node: the function that defines its
+    backward closure, such as `rows`, `__add__` or `affine`."""
+    return node._backward.__qualname__.split(".<locals>")[0].rsplit(".", 1)[-1]
+
+
+def holds_value(node: Tensor) -> bool:
+    try:
+        node.data
+    except RuntimeError:                  # released: only the shape is kept
+        return False
+    return True
 
 
 def param_digest(params) -> str:
@@ -233,15 +248,77 @@ class TestOneGraphPerStep:
                                                  np.random.default_rng(0)))[1])
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
+    def test_encoder_graph_keeps_only_values_a_backward_reads(self, monkeypatch):
+        """After a training forward, no `rows` or `+` node, no dropout node
+        that only `+` reads and no projection that only dropout reads holds
+        its value: their consumers' backwards need only the shape. Every
+        other node of the encoder's graph holds its value."""
+        outputs, original = [], mtl.encoder_forward
+
+        def encode(*args):
+            out, lengths = original(*args)
+            outputs.append(out)
+            return out, lengths
+
+        monkeypatch.setattr(mtl, "encoder_forward", encode)
+        model, step_loss = self.ragged_step()
+        loss = step_loss(np.arange(32), np.random.default_rng(0))
+        nodes, consumers, stack = {}, {}, [outputs[0]]
+        while stack:
+            node = stack.pop()
+            if id(node) in nodes or node._backward is None:
+                continue
+            nodes[id(node)] = node
+            for parent in node._parents:
+                consumers.setdefault(id(parent), []).append(op_of(node))
+                stack.append(parent)
+
+        def spent(key, node):
+            op, readers = op_of(node), set(consumers.get(key, ()))
+            return (op in ("rows", "__add__")
+                    or op == "dropout" and readers == {"__add__"}
+                    or op == "affine" and readers == {"dropout"})
+
+        released = {key for key, node in nodes.items() if spent(key, node)}
+        assert len(released) == 15        # 2 rows, 5 +, 4 dropout, 4 affine at 2 layers
+        for key, node in nodes.items():
+            assert holds_value(node) == (key not in released), op_of(node)
+        loss.backward()                   # the released graph still runs backward
+
+    def test_step_peaks_below_a_step_that_releases_nothing(self, traced_peak, monkeypatch):
+        """Released values and GELU's recomputed tanh take a training step's
+        traced peak below 80% of the same step with nothing released and
+        tanh kept (about 70% here)."""
+        def step_peak():
+            _, step_loss = self.ragged_step()
+            return traced_peak(lambda: step_loss(np.arange(32),
+                                                 np.random.default_rng(0)).backward())[1]
+
+        lean = step_peak()
+        monkeypatch.setattr(Tensor, "release", lambda self: None)
+        monkeypatch.setattr(Tensor, "gelu", kept_tanh_gelu)
+        keeping = step_peak()
+        assert lean < 0.8 * keeping, lean / keeping
+
     def test_ragged_seeded_run_matches_composed_ops(self, monkeypatch):
         """A seeded `train` run with dropout on ragged 1-20 word tweets gives
         the loss history and parameter bytes, in the same process, that the
         composed ops give: `x @ w + b` for `affine`, `x * Tensor(mask)` with
-        a float mask for `dropout`, and a backward that frees nothing."""
+        a float mask for `dropout`, the kept-tanh GELU, and a graph that
+        releases no value and a backward that frees nothing."""
+        self.check_matches_composed_ops(monkeypatch, 0.1)
+
+    def test_ragged_seeded_run_without_dropout_matches_composed_ops(self, monkeypatch):
+        """As above with `dropout_rate` 0.0: dropout returns its input
+        unchanged, and the embedding sum it returns is kept."""
+        self.check_matches_composed_ops(monkeypatch, 0.0)
+
+    @staticmethod
+    def check_matches_composed_ops(monkeypatch, rate):
         examples = ragged_corpus(48, seed=3)
         vocab = build_vocab([e.tweet.text for e in examples])
         cfg = EncoderConfig(d_model=16, n_layers=2, n_heads=2, d_ffn=32, max_len=24,
-                            vocab_size=len(vocab), dropout_rate=0.1)
+                            vocab_size=len(vocab), dropout_rate=rate)
         config = TrainConfig(learning_rate=3e-3, batch_size=16, max_epochs=2, patience=2,
                              seed=9)
 
@@ -279,6 +356,8 @@ class TestOneGraphPerStep:
         monkeypatch.setattr(mtl, "affine", composed_affine)
         monkeypatch.setattr(encoder, "dropout", composed_dropout)
         monkeypatch.setattr(Tensor, "backward", keeping_backward)
+        monkeypatch.setattr(Tensor, "release", lambda self: None)
+        monkeypatch.setattr(Tensor, "gelu", kept_tanh_gelu)
         assert run() == lean
 
 
