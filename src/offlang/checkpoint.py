@@ -1,16 +1,21 @@
 """Versioned model checkpoint container.
 
-A single .npz holding named parameter arrays plus a JSON metadata blob with
-the encoder config, head config, loss weights, and the vocabulary. Save/load
-round-trips bit-exactly (arrays are float64 end to end).
-Version 2 holds exactly the model's parameters; version 1 files, which also
-carry a head the model no longer has, still load without it.
+A single .npz of two members: `params`, every parameter of the model
+flattened into one float64 vector in `mtl.parameter_layout` order, and
+`meta`, a JSON blob with the encoder config, head config, loss weights and
+the vocabulary. Save/load round-trips bit-exactly (float64 end to end).
+That is format 3. Formats 1 and 2 stored one `param/<name>` member per
+parameter and still load; a version 1 file also carries a head the model
+no longer has, which is dropped.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import itertools
 import json
+import math
 import types
 import typing
 import zipfile
@@ -18,10 +23,10 @@ import zipfile
 import numpy as np
 
 from .encoder import EncoderConfig
-from .mtl import HeadConfig, LossWeights, MtlModel
+from .mtl import HeadConfig, LossWeights, MtlModel, parameter_layout
 from .tokenizer import Vocabulary
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def save_checkpoint(path, model: MtlModel, vocab: Vocabulary,
@@ -33,12 +38,42 @@ def save_checkpoint(path, model: MtlModel, vocab: Vocabulary,
         "loss_weights": loss_weights.as_tuple(),
         "vocab": vocab.to_lines(),
     }
-    arrays = {f"param/{name}": arr for name, arr in model.state_arrays().items()}
-    arrays["meta"] = np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
-    )
-    with open(path, "wb") as handle:
-        np.savez(handle, **arrays)
+    layout = parameter_layout(model.encoder_config, model.head_config)
+    size = sum(math.prod(shape) for shape in layout.values())
+    meta_bytes = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"),
+                               dtype=np.uint8)
+    # an .npz of two .npy members, as np.savez writes one, except that each
+    # parameter's bytes go straight into `params`: no flat copy is built
+    with zipfile.ZipFile(path, "w") as archive:
+        with archive.open("params.npy", "w", force_zip64=True) as member:
+            np.lib.format.write_array_header_1_0(member, {
+                "descr": np.dtype(np.float64).str, "fortran_order": False,
+                "shape": (size,)})
+            for name in layout:
+                member.write(np.ascontiguousarray(model.params[name].data, dtype=np.float64))
+        with archive.open("meta.npy", "w", force_zip64=True) as member:
+            np.lib.format.write_array(member, meta_bytes)
+
+
+def _unflatten(params: np.ndarray, layout: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Per-name views of a format-3 parameter vector, cut in `layout` order.
+    Its dtype, length and finiteness are each checked once over the whole
+    vector; a non-finite value is traced back to the parameter holding it."""
+    ends = list(itertools.accumulate(math.prod(shape) for shape in layout.values()))
+    size = ends[-1]
+    if params.dtype.type is not np.float64:     # either byte order
+        raise ValueError(f"the parameter vector holds {params.dtype} values, not float64")
+    if params.shape != (size,):
+        raise ValueError(f"the parameter vector has shape {params.shape}, "
+                         f"expected ({size},) for this model")
+    finite = np.isfinite(params)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        name = list(layout)[bisect.bisect_right(ends, first)]
+        raise ValueError(f"parameter {name} holds a non-finite value")
+    starts = [0] + ends[:-1]
+    return {name: params[start:end].reshape(shape)
+            for (name, shape), start, end in zip(layout.items(), starts, ends)}
 
 
 def _fits(value, hint) -> bool:
@@ -95,8 +130,8 @@ def _config(cls, section):
 
 
 def load_checkpoint(path) -> tuple[MtlModel, Vocabulary, LossWeights]:
-    """Read a checkpoint written by `save_checkpoint`. The model is built
-    straight from the stored arrays, checked against
+    """Read a checkpoint written by `save_checkpoint`, of format 1, 2 or 3.
+    The model is built straight from the stored arrays, checked against
     `mtl.parameter_layout`; no parameters are drawn.
 
     A missing or unreadable file raises OSError. Any other file that is not
@@ -113,21 +148,27 @@ def load_checkpoint(path) -> tuple[MtlModel, Vocabulary, LossWeights]:
             if "meta" not in data.files:
                 raise ValueError("no metadata entry")
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-            arrays = {
-                key[len("param/"):]: data[key]
-                for key in data.files
-                if key.startswith("param/")
-            }
-        if meta["version"] not in (1, FORMAT_VERSION):
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        if meta["version"] == 1:
+            version = meta["version"]
+            if version not in (1, 2, FORMAT_VERSION):
+                raise ValueError(f"unsupported checkpoint version {version}")
+            encoder_config = _config(EncoderConfig, meta["encoder"])
+            head_config = _config(HeadConfig, meta["head"])
+            if version == FORMAT_VERSION:
+                if "params" not in data.files:
+                    raise ValueError("no parameter vector entry 'params'")
+                arrays = _unflatten(data["params"],
+                                    parameter_layout(encoder_config, head_config))
+            else:
+                arrays = {key[len("param/"):]: data[key]
+                          for key in data.files if key.startswith("param/")}
+        if version == 1:
             arrays.pop("baseline.out.w", None)
             arrays.pop("baseline.out.b", None)
-        model = MtlModel.from_arrays(_config(EncoderConfig, meta["encoder"]),
-                                     _config(HeadConfig, meta["head"]), arrays)
-        for name, tensor in model.params.items():
-            if not np.isfinite(tensor.data).all():
-                raise ValueError(f"parameter {name} holds a non-finite value")
+        model = MtlModel.from_arrays(encoder_config, head_config, arrays)
+        if version != FORMAT_VERSION:
+            for name, tensor in model.params.items():
+                if not np.isfinite(tensor.data).all():
+                    raise ValueError(f"parameter {name} holds a non-finite value")
         vocab = Vocabulary.from_lines(meta["vocab"])
         if len(vocab) > model.encoder_config.vocab_size:
             raise ValueError(f"the vocabulary has {len(vocab)} entries, more than the "

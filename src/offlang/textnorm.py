@@ -34,13 +34,36 @@ _EMOJI_RANGES = (
 )
 
 
-_EMOJI_CHAR = re.compile(
-    "[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _EMOJI_RANGES) + "]"
-)
+_EMOJI_CLASS = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _EMOJI_RANGES)
+_EMOJI_CHAR = re.compile(f"[{_EMOJI_CLASS}]")
+_NON_EMOJI_CHAR = re.compile(f"[^{_EMOJI_CLASS}]")
+
+# an emoji name, and all names of a table joined by newlines
+_CLEAN_NAME = re.compile(r"[a-z0-9]+( [a-z0-9]+)*")
+_CLEAN_NAMES = re.compile(r"[a-z0-9]+(?:[ \n][a-z0-9]+)*")
 
 
-def _is_emoji_char(ch: str) -> bool:
-    return _EMOJI_CHAR.match(ch) is not None
+def _read_table(path) -> list[tuple[int, str, str]]:
+    """(line number, key, value) of each `key<TAB>value` line of a table
+    file; blank lines and `#` comments are skipped. The file is read whole as
+    `utf-8-sig`, so a byte order mark is dropped. A line without a tab
+    raises ValueError naming `path:line`."""
+    with open(path, encoding="utf-8-sig") as handle:
+        lines = handle.read().split("\n")
+    rows = []
+    for number, line in enumerate(lines, start=1):
+        if line and not line.startswith("#"):
+            key, tab, value = line.partition("\t")
+            if not tab:
+                raise ValueError(f"{path}:{number}: expected key<TAB>value, found no tab")
+            rows.append((number, key, value))
+    return rows
+
+
+def _line_of(rows: list[tuple[int, str, str]], key: str) -> int:
+    """The line of `_read_table`'s rows that a table's entry for `key` came
+    from: the last line giving that key, as the table keeps its value."""
+    return max(number for number, k, _ in rows if k == key)
 
 
 @dataclass(frozen=True)
@@ -69,32 +92,49 @@ class EmojiTable:
     pattern: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for key, name in self.entries.items():
-            if not re.fullmatch(r"[a-z0-9]+( [a-z0-9]+)*", name):
-                raise ValueError(f"emoji name {name!r} not clean lowercase words")
-            if not key:
-                raise ValueError("empty emoji key")
+        bad = _bad_emoji_entry(self.entries)
+        if bad is not None:
+            raise ValueError(bad[1])
         # the class already finds one-character keys inside it, and a branch
         # per such key would be a linear scan per character: re keeps
-        # characters beyond U+FFFF out of its bitmap
-        keys = sorted((k for k in self.entries if len(k) > 1 or not _is_emoji_char(k)),
-                      key=len, reverse=True)
+        # characters beyond U+FFFF out of its bitmap. Sorting by length is
+        # stable, so the one-character keys outside the class come last, in
+        # table order.
+        keys = sorted((k for k in self.entries if len(k) > 1), key=len, reverse=True)
+        keys += _NON_EMOJI_CHAR.findall("".join(k for k in self.entries if len(k) == 1))
         object.__setattr__(self, "pattern", re.compile(
             "|".join([re.escape(k) for k in keys] + [_EMOJI_CHAR.pattern])
         ))
 
     @classmethod
     def load(cls, path) -> "EmojiTable":
-        """Read tab-separated `emoji<TAB>name words` lines; `#` comments allowed."""
-        entries = {}
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                emoji, _, name = line.partition("\t")
-                entries[emoji] = name.strip()
-        return cls(entries)
+        """Read tab-separated `emoji<TAB>name words` lines; `#` comments
+        allowed. A malformed line raises one ValueError naming `path:line`."""
+        rows = _read_table(path)
+        entries = {emoji: name.strip() for _, emoji, name in rows}
+        try:
+            return cls(entries)
+        except ValueError as err:
+            bad_key = _bad_emoji_entry(entries)[0]
+            raise ValueError(f"{path}:{_line_of(rows, bad_key)}: {err}") from None
+
+
+def _bad_emoji_entry(entries: dict[str, str]) -> tuple[str, str] | None:
+    """The key of the first malformed entry of an emoji table and what is
+    wrong with it, or None if there is none. One regex pass over all names
+    joined by newlines clears a well-formed table; the newline count shows
+    that no name held a newline of its own. Only a table that fails it is
+    walked entry by entry, to find the first bad entry."""
+    names = "\n".join(entries.values())
+    if not entries or ("" not in entries and names.count("\n") == len(entries) - 1
+                       and _CLEAN_NAMES.fullmatch(names)):
+        return None
+    for key, name in entries.items():
+        if not _CLEAN_NAME.fullmatch(name):
+            return key, f"emoji name {name!r} not clean lowercase words"
+        if not key:
+            return key, "empty emoji key"
+    return None
 
 
 @dataclass(frozen=True)
@@ -108,9 +148,9 @@ class UnigramTable:
     longest: int = field(init=False, repr=False, compare=False)   # characters of the longest word
 
     def __post_init__(self):
-        for word, count in self.counts.items():
-            if not word or word != word.lower() or count <= 0:
-                raise ValueError(f"bad unigram entry {word!r}: {count}")
+        bad = _bad_unigram(self.counts)
+        if bad is not None:
+            raise ValueError(f"bad unigram entry {bad!r}: {self.counts[bad]}")
         object.__setattr__(self, "total", sum(self.counts.values()))
         object.__setattr__(self, "log_probs", {
             word: math.log10(count / self.total) for word, count in self.counts.items()
@@ -120,15 +160,19 @@ class UnigramTable:
 
     @classmethod
     def load(cls, path) -> "UnigramTable":
+        """Read tab-separated `word<TAB>count` lines; `#` comments allowed.
+        A malformed line raises one ValueError naming `path:line`."""
+        rows = _read_table(path)
         counts = {}
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                word, _, count = line.partition("\t")
+        for number, word, count in rows:
+            try:
                 counts[word] = int(count)
-        return cls(counts)
+            except ValueError:
+                raise ValueError(f"{path}:{number}: count {count!r} is not an integer") from None
+        try:
+            return cls(counts)
+        except ValueError as err:
+            raise ValueError(f"{path}:{_line_of(rows, _bad_unigram(counts))}: {err}") from None
 
     def log_prob(self, word: str) -> float:
         """log10 unigram probability; unknown words get a length penalty."""
@@ -136,6 +180,13 @@ class UnigramTable:
         if known is not None:
             return known
         return self.unknown_log_prob - len(word)
+
+
+def _bad_unigram(counts: dict[str, int]) -> str | None:
+    """The first word of a unigram table that is empty or not lowercase or
+    whose count is not positive, or None if there is none."""
+    return next((word for word, count in counts.items()
+                 if not word or word != word.lower() or count <= 0), None)
 
 
 def bundled_emoji_table() -> EmojiTable:

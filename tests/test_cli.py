@@ -12,9 +12,11 @@ from offlang.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from offlang.cli import GRADCHECK_CONFIG, dispatch
 from offlang.corpus import save_labeled
 from offlang.encoder import EncoderConfig
-from offlang.mtl import HeadConfig, LossWeights, MtlModel
+from offlang.mtl import HeadConfig, LossWeights, MtlModel, parameter_layout
 from offlang.synth import make_hierarchical_corpus, make_scored_corpus
 from offlang.tokenizer import build_vocab
+
+from test_mtl import flat_parameters, rewrite_checkpoint, write_per_name_checkpoint
 
 TINY_CONFIG = {
     "encoder": {"d_model": 16, "n_layers": 1, "n_heads": 2, "d_ffn": 32,
@@ -193,16 +195,77 @@ class TestBadCheckpoint:
                                        max_len=8, vocab_size=len(vocab)),
                          HeadConfig(hidden=4), seed=0)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, vocab, LossWeights())
-        with np.load(path) as data:
-            arrays = {key: data[key] for key in data.files}
-        arrays["param/head_a.out.b"] = arrays["param/head_a.out.b"].astype(dtype)
-        with open(path, "wb") as handle:
-            np.savez(handle, **arrays)
+        write_per_name_checkpoint(path, model, vocab, extra={
+            "head_a.out.b": model.params["head_a.out.b"].data.astype(dtype)})
         assert dispatch(["predict", "--model", str(path), "--text", "a b"]) == 1
         err = capsys.readouterr().err
         assert err == (f"error: {path} is not a valid checkpoint: parameter head_a.out.b "
                        f"holds {np.dtype(dtype)} values, not real floating point\n")
+
+
+class TestBadFormat3Checkpoint:
+    """Each damage to a format-3 file's parameter vector is one error line."""
+
+    @staticmethod
+    def saved(tmp_path):
+        vocab = build_vocab(["a b c"])
+        model = MtlModel(EncoderConfig(d_model=8, n_layers=1, n_heads=2, d_ffn=16,
+                                       max_len=8, vocab_size=len(vocab)),
+                         HeadConfig(hidden=4), seed=0)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, vocab, LossWeights())
+        return path, model, flat_parameters(model)
+
+    @staticmethod
+    def predict_error(path, capsys) -> str:
+        assert dispatch(["predict", "--model", str(path), "--text", "a b"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        prefix = f"error: {path} is not a valid checkpoint: "
+        assert err.startswith(prefix)
+        return err[len(prefix):-1]
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize("index", [0, 7, -1])
+    def test_non_finite_value_names_its_parameter(self, tmp_path, capsys, index, where):
+        path, model, vector = self.saved(tmp_path)
+        layout = parameter_layout(model.encoder_config, model.head_config)
+        name = list(layout)[index]
+        start = sum(int(np.prod(shape)) for shape in list(layout.values())[:index % len(layout)])
+        end = start + int(np.prod(layout[name]))
+        vector[start if where == "first" else end - 1] = np.nan
+        rewrite_checkpoint(path, path, members={"params": vector})
+        assert self.predict_error(path, capsys) == f"parameter {name} holds a non-finite value"
+
+    def test_vector_not_float64(self, tmp_path, capsys):
+        path, _, vector = self.saved(tmp_path)
+        rewrite_checkpoint(path, path, members={"params": vector.astype(np.float32)})
+        assert self.predict_error(path, capsys) == (
+            "the parameter vector holds float32 values, not float64")
+
+    @pytest.mark.parametrize("change", ["short", "long", "2-d"])
+    def test_vector_of_the_wrong_length(self, tmp_path, capsys, change):
+        path, _, vector = self.saved(tmp_path)
+        stored = {"short": vector[:-1], "long": np.append(vector, 0.0),
+                  "2-d": vector.reshape(1, -1)}[change]
+        rewrite_checkpoint(path, path, members={"params": stored})
+        assert self.predict_error(path, capsys) == (
+            f"the parameter vector has shape {stored.shape}, "
+            f"expected ({vector.size},) for this model")
+
+    def test_missing_vector(self, tmp_path, capsys):
+        path, _, _ = self.saved(tmp_path)
+        rewrite_checkpoint(path, path, members={"params": None})
+        assert self.predict_error(path, capsys) == "no parameter vector entry 'params'"
+
+    def test_flipped_byte_in_the_vector(self, tmp_path, capsys):
+        path, _, vector = self.saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        offset = raw.find(vector.tobytes())
+        assert offset >= 0
+        raw[offset + vector.nbytes // 2] ^= 0x01
+        path.write_bytes(bytes(raw))
+        assert self.predict_error(path, capsys) == "Bad CRC-32 for file 'params.npy'"
 
 
 class TestPreprocess:
@@ -226,6 +289,42 @@ class TestPreprocess:
         assert capsys.readouterr().err == ""
         assert out.read_text(encoding="utf-8").splitlines()[1].split("\t")[:2] == [
             "7", "good morning"]
+
+    @pytest.mark.parametrize("option, content, message", [
+        ("--emoji", "\U0001F44D\tthumbs up\n\U0001F602\n", "2: expected key<TAB>value"),
+        ("--emoji", "# c\n\U0001F44D\tThumbs Up\n", "2: emoji name 'Thumbs Up' not clean"),
+        ("--emoji", "\U0001F44D\tthumbs up\n\tjoy\n", "2: empty emoji key"),
+        ("--unigrams", "good\t5\nmorning\tlots\n", "2: count 'lots' is not an integer"),
+        ("--unigrams", "good\t5\n\nmorning\t0\n", "3: bad unigram entry 'morning': 0"),
+        ("--unigrams", "good\t5\nMorning\t3\n", "2: bad unigram entry 'Morning': 3"),
+    ])
+    def test_malformed_table_is_one_error_line(self, tmp_path, capsys, option, content,
+                                               message):
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("id\ttweet\tsubtask_a\tsubtask_b\tsubtask_c\n"
+                       "7\tgood morning\tNOT\tNULL\tNULL\n", encoding="utf-8")
+        table = tmp_path / "table.tsv"
+        table.write_text(content, encoding="utf-8")
+        out = tmp_path / "norm.tsv"
+        assert dispatch(["preprocess", "--input", str(raw), "--output", str(out),
+                         option, str(table)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {table}:{message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_tables_with_a_byte_order_mark(self, tmp_path, capsys):
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("id\ttweet\tsubtask_a\tsubtask_b\tsubtask_c\n"
+                       "7\thi \U0001F600 #goodmorning\tNOT\tNULL\tNULL\n", encoding="utf-8")
+        emoji, unigrams = tmp_path / "emoji.tsv", tmp_path / "unigrams.tsv"
+        emoji.write_text("\U0001F600\tgrinning face\n", encoding="utf-8-sig")
+        unigrams.write_text("good\t5\nmorning\t3\n", encoding="utf-8-sig")
+        out = tmp_path / "norm.tsv"
+        assert dispatch(["preprocess", "--input", str(raw), "--output", str(out),
+                         "--emoji", str(emoji), "--unigrams", str(unigrams)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text(encoding="utf-8").splitlines()[1].split("\t")[1] == (
+            "hi grinning face good morning")
 
 
 class TestTrainEvaluate:

@@ -511,24 +511,23 @@ class TestCheckpoint:
     def test_version_1_with_baseline_head_loads(self, tmp_path, batch):
         model, vocab, _, ids, mask = batch
         assert not any(name.startswith("baseline.") for name in model.params)
-        v2 = tmp_path / "v2.ckpt"
-        save_checkpoint(v2, model, vocab, LossWeights())
-        v1 = tmp_path / "v1.ckpt"
-        rewrite_checkpoint(v2, v1, version=1, extra={
+        v1, v2, v3 = tmp_path / "v1.ckpt", tmp_path / "v2.ckpt", tmp_path / "v3.ckpt"
+        write_per_name_checkpoint(v1, model, vocab, version=1, extra={
             "baseline.out.w": np.ones((model.encoder_config.d_model, 2)),
             "baseline.out.b": np.ones(2)})
-        from_v1, _, _ = load_checkpoint(v1)
-        from_v2, _, _ = load_checkpoint(v2)
-        for x, y in zip(from_v1.forward_mtl(ids, mask), from_v2.forward_mtl(ids, mask)):
+        write_per_name_checkpoint(v2, model, vocab)
+        save_checkpoint(v3, model, vocab, LossWeights())
+        loaded = [load_checkpoint(path)[0] for path in (v1, v2, v3)]
+        for other in loaded:
+            assert param_digest(other.params) == param_digest(model.params)
+        for x, y in zip(loaded[0].forward_mtl(ids, mask), loaded[2].forward_mtl(ids, mask)):
             for task in ("a", "b", "c"):
                 assert np.array_equal(x.probs(task), y.probs(task))
 
     def test_version_2_with_baseline_head_rejected(self, tmp_path, batch):
         model, vocab, _, _, _ = batch
-        v2 = tmp_path / "v2.ckpt"
-        save_checkpoint(v2, model, vocab, LossWeights())
         stray = tmp_path / "stray.ckpt"
-        rewrite_checkpoint(v2, stray, version=2, extra={
+        write_per_name_checkpoint(stray, model, vocab, extra={
             "baseline.out.w": np.ones((model.encoder_config.d_model, 2)),
             "baseline.out.b": np.ones(2)})
         with pytest.raises(ValueError, match="is not a valid checkpoint"):
@@ -537,11 +536,21 @@ class TestCheckpoint:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_parameter_rejected(self, tmp_path, batch, value):
         model, vocab, _, _, _ = batch
-        good = tmp_path / "good.ckpt"
-        save_checkpoint(good, model, vocab, LossWeights())
         bad = tmp_path / "bad.ckpt"
-        rewrite_checkpoint(good, bad, version=2, extra={
+        write_per_name_checkpoint(bad, model, vocab, extra={
             "tok_emb": np.full_like(model.params["tok_emb"].data, value)})
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bad} is not a valid checkpoint: parameter tok_emb holds a non-finite value")):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_in_format_3_rejected(self, tmp_path, batch, value):
+        model, vocab, _, _, _ = batch
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, model, vocab, LossWeights())
+        vector = flat_parameters(model)
+        vector[model.params["tok_emb"].data.size - 1] = value
+        rewrite_checkpoint(bad, bad, members={"params": vector})
         with pytest.raises(ValueError, match=re.escape(
                 f"{bad} is not a valid checkpoint: parameter tok_emb holds a non-finite value")):
             load_checkpoint(bad)
@@ -549,14 +558,12 @@ class TestCheckpoint:
     @pytest.mark.parametrize("dtype", [np.complex128, np.int64])
     def test_non_real_float_parameter_rejected(self, tmp_path, batch, dtype):
         model, vocab, _, _, _ = batch
-        good = tmp_path / "good.ckpt"
-        save_checkpoint(good, model, vocab, LossWeights())
         bad = tmp_path / "bad.ckpt"
         # an imaginary part of 1 would vanish under astype(float64)
         values = np.ones_like(model.params["tok_emb"].data, dtype=dtype)
         if dtype is np.complex128:
             values += 1j
-        rewrite_checkpoint(good, bad, version=2, extra={"tok_emb": values})
+        write_per_name_checkpoint(bad, model, vocab, extra={"tok_emb": values})
         with pytest.raises(ValueError, match=re.escape(
                 f"{bad} is not a valid checkpoint: parameter tok_emb holds "
                 f"{np.dtype(dtype)} values, not real floating point")):
@@ -568,17 +575,63 @@ class TestCheckpoint:
         save_checkpoint(good, model, vocab, LossWeights())
         lines = vocab.to_lines()
         bad = tmp_path / "bad.ckpt"
-        rewrite_checkpoint(good, bad, version=2, extra={},
-                           vocab=lines + [f"extra{i}\t{len(lines) + i}" for i in range(5)])
+        rewrite_checkpoint(good, bad, meta={
+            "vocab": lines + [f"extra{i}\t{len(lines) + i}" for i in range(5)]})
         with pytest.raises(ValueError, match=re.escape(
                 f"{bad} is not a valid checkpoint: the vocabulary has {len(lines) + 5} "
                 f"entries, more than the encoder's vocab_size {len(lines)}")):
             load_checkpoint(bad)
         # a vocabulary shorter than the embedding table stays legal
         short = tmp_path / "short.ckpt"
-        rewrite_checkpoint(good, short, version=2, extra={}, vocab=lines[:-2])
+        rewrite_checkpoint(good, short, meta={"vocab": lines[:-2]})
         _, short_vocab, _ = load_checkpoint(short)
         assert len(short_vocab) == len(lines) - 2
+
+    def test_format_3_vector_of_either_byte_order_loads(self, tmp_path, batch):
+        model, vocab, _, _, _ = batch
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, vocab, LossWeights())
+        swapped = flat_parameters(model).astype(np.dtype(np.float64).newbyteorder())
+        rewrite_checkpoint(path, path, members={"params": swapped})
+        loaded, _, _ = load_checkpoint(path)
+        assert param_digest(loaded.params) == param_digest(model.params)
+
+    def test_format_3_holds_one_vector_in_layout_order(self, tmp_path, batch):
+        model, vocab, _, _, _ = batch
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, vocab, LossWeights())
+        with np.load(path) as data:
+            assert sorted(data.files) == ["meta", "params"]
+            assert json.loads(bytes(data["meta"]).decode("utf-8"))["version"] == 3
+            assert data["params"].dtype == np.float64
+            assert data["params"].tobytes() == flat_parameters(model).tobytes()
+
+
+# Written by `save_checkpoint` when checkpoints were format 2, and kept as
+# those bytes: a tiny model (d_model 8, 1 layer, hidden 4), its vocabulary
+# and loss weights.
+FORMAT_2_FILE = Path(__file__).parent / "data" / "format2.ckpt"
+
+
+class TestFormat2File:
+    def test_loads_to_the_recorded_model(self):
+        model, vocab, weights = load_checkpoint(FORMAT_2_FILE)
+        assert param_digest(model.params) == "560197240707cf03"
+        assert model.encoder_config == EncoderConfig(
+            d_model=8, n_layers=1, n_heads=2, d_ffn=8, max_len=8, vocab_size=10,
+            dropout_rate=0.1)
+        assert model.head_config == HeadConfig(hidden=4)
+        assert vocab.id_to_token == ["<pad>", "<unk>", "<cls>", "#tag", "@user", "idiot",
+                                     "lovely", "today", "weather", "you"]
+        assert weights.as_tuple() == (0.5, 0.3, 0.2)
+
+    def test_saved_again_as_format_3_gives_the_same_model(self, tmp_path):
+        model, vocab, weights = load_checkpoint(FORMAT_2_FILE)
+        path = tmp_path / "v3.ckpt"
+        save_checkpoint(path, model, vocab, weights)
+        again, again_vocab, again_weights = load_checkpoint(path)
+        assert param_digest(again.params) == param_digest(model.params)
+        assert again_vocab.to_lines() == vocab.to_lines() and again_weights == weights
 
 
 @st.composite
@@ -618,16 +671,38 @@ class TestCheckpointRoundTrip:
             assert got.tobytes() == tensor.data.tobytes(), name
 
 
-def rewrite_checkpoint(src, dst, version, extra, vocab=None):
-    """Copy a checkpoint with its metadata version set, `extra` parameters
-    added or replaced, and its vocabulary lines replaced if `vocab` is given."""
+def flat_parameters(model: MtlModel) -> np.ndarray:
+    """Every parameter of `model` in one float64 vector, in layout order."""
+    layout = parameter_layout(model.encoder_config, model.head_config)
+    return np.concatenate([model.params[name].data.ravel() for name in layout])
+
+
+def write_per_name_checkpoint(path, model, vocab, version=2, extra=None,
+                              loss_weights=LossWeights()):
+    """Write `model` as formats 1 and 2 stored it: one `param/<name>` member
+    per parameter, `extra` arrays added or put in place of the model's, and
+    the metadata with `version` set."""
+    meta = {"version": version, "encoder": model.encoder_config.to_dict(),
+            "head": model.head_config.to_dict(),
+            "loss_weights": loss_weights.as_tuple(), "vocab": vocab.to_lines()}
+    arrays = {name: t.data for name, t in model.params.items()}
+    arrays.update(extra or {})
+    members = {f"param/{name}": arr for name, arr in arrays.items()}
+    members["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"),
+                                    dtype=np.uint8)
+    with open(path, "wb") as handle:
+        np.savez(handle, **members)
+
+
+def rewrite_checkpoint(src, dst, meta=None, members=None):
+    """Copy a checkpoint with `meta` written over its metadata keys and
+    `members` put in place of its members; a member given as None is left
+    out."""
     with np.load(src) as data:
         arrays = {key: data[key] for key in data.files}
-    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-    meta["version"] = version
-    if vocab is not None:
-        meta["vocab"] = vocab
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    arrays.update({f"param/{name}": arr for name, arr in extra.items()})
+    old_meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    arrays["meta"] = np.frombuffer(json.dumps({**old_meta, **(meta or {})}).encode("utf-8"),
+                                   dtype=np.uint8)
+    arrays.update(members or {})
     with open(dst, "wb") as handle:
-        np.savez(handle, **arrays)
+        np.savez(handle, **{key: arr for key, arr in arrays.items() if arr is not None})

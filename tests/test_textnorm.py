@@ -1,8 +1,10 @@
+import hashlib
+import json
 import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from offlang import textnorm
 from offlang.textnorm import (
@@ -153,7 +155,7 @@ def reference_emoji_to_words(text: str, table: EmojiTable) -> str:
         if match is not None:
             pieces += [text[run_start:i], table.entries[match]]
             i += len(match)
-        elif textnorm._is_emoji_char(text[i]):
+        elif textnorm._EMOJI_CHAR.fullmatch(text[i]):
             pieces += [text[run_start:i], ""]
             i += 1
         else:
@@ -229,7 +231,7 @@ class TestEmojiToWords:
                  for d in (-1, 0, 1)}
         for cp in sorted(edges):
             in_range = any(lo <= cp <= hi for lo, hi in textnorm._EMOJI_RANGES)
-            assert textnorm._is_emoji_char(chr(cp)) == in_range, hex(cp)
+            assert (textnorm._EMOJI_CHAR.fullmatch(chr(cp)) is not None) == in_range, hex(cp)
 
     def test_name_words_must_be_clean(self):
         with pytest.raises(ValueError):
@@ -287,3 +289,112 @@ class TestTables:
         path.write_text("# words\nfoo\t5\nbar\t2\n", encoding="utf-8")
         t = UnigramTable.load(path)
         assert t.counts == {"foo": 5, "bar": 2} and t.total == 7
+
+    def test_emoji_table_with_a_byte_order_mark_keeps_its_first_entry(self, tmp_path):
+        path = tmp_path / "emoji.tsv"
+        path.write_text("\U0001F600\tgrinning face\n\U0001F44D\tthumbs up\n",
+                        encoding="utf-8-sig")
+        table = EmojiTable.load(path)
+        assert table.entries == {"\U0001F600": "grinning face", "\U0001F44D": "thumbs up"}
+        assert emoji_to_words("hi \U0001F600 and \U0001F44D", table) == (
+            "hi grinning face and thumbs up")
+
+    def test_unigram_table_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "uni.tsv"
+        path.write_text("foo\t5\nbar\t2\n", encoding="utf-8-sig")
+        assert UnigramTable.load(path).counts == {"foo": 5, "bar": 2}
+
+    def test_bad_unigram_count_names_its_line(self, tmp_path):
+        path = tmp_path / "uni.tsv"
+        path.write_text("# words\nfoo\t5\nbar\tlots\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:3: count 'lots' is not an integer")):
+            UnigramTable.load(path)
+
+    @pytest.mark.parametrize("content, message", [
+        ("a\t1\nb 2\n", "2: expected key<TAB>value, found no tab"),
+        ("a\t1\n\t2\n", "2: bad unigram entry '': 2"),
+        ("a\t-1\nb\t2\n", "1: bad unigram entry 'a': -1"),
+        ("a\t3\nb\t2\na\t0\n", "3: bad unigram entry 'a': 0"),
+    ])
+    def test_malformed_unigram_line_names_its_line(self, tmp_path, content, message):
+        path = tmp_path / "uni.tsv"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{message}")):
+            UnigramTable.load(path)
+
+    @pytest.mark.parametrize("content, message", [
+        ("# c\n\n\U0001F44D thumbs up\n", "3: expected key<TAB>value, found no tab"),
+        ("\U0001F44D\tthumbs up\n\tjoy\n", "2: empty emoji key"),
+        ("\U0001F44D\tthumbs  up\n", "1: emoji name 'thumbs  up' not clean lowercase words"),
+        ("\U0001F44D\tthumbs up\n\U0001F602\tjoy!\n\U0001F44D\tok\n",
+         "2: emoji name 'joy!' not clean lowercase words"),
+    ])
+    def test_malformed_emoji_line_names_its_line(self, tmp_path, content, message):
+        path = tmp_path / "emoji.tsv"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{message}")):
+            EmojiTable.load(path)
+
+    def test_bundled_emoji_table_is_unchanged(self, emoji):
+        """Digests of the bundled table's entries and pattern, recorded when
+        each entry was checked by its own regex call."""
+        entries = json.dumps(list(emoji.entries.items())).encode()
+        assert hashlib.sha256(entries).hexdigest()[:16] == "9c8ba5a91f02b225"
+        assert hashlib.sha256(emoji.pattern.pattern.encode()).hexdigest()[:16] == (
+            "a7774b0896ffa2d4")
+
+
+class ReferenceEmojiTable:
+    """The emoji table's entry checks and pattern as they were written
+    before the single-pass checks: one regex call per name and per
+    one-character key."""
+
+    def __init__(self, entries: dict[str, str]):
+        for key, name in entries.items():
+            if not re.fullmatch(r"[a-z0-9]+( [a-z0-9]+)*", name):
+                raise ValueError(f"emoji name {name!r} not clean lowercase words")
+            if not key:
+                raise ValueError("empty emoji key")
+        keys = sorted((k for k in entries
+                       if len(k) > 1 or not textnorm._EMOJI_CHAR.match(k)),
+                      key=len, reverse=True)
+        self.pattern = re.compile(
+            "|".join([re.escape(k) for k in keys] + [textnorm._EMOJI_CHAR.pattern]))
+
+
+# one to three emoji, characters outside the emoji class (one beyond
+# U+FFFF), newlines and tabs
+EMOJI_KEYS = st.text(alphabet="\U0001F44D\U0001F602\u2764\u200d\ufe0fx#\xa9\U0001FB00\n\t ",
+                     min_size=1, max_size=3)
+CLEAN_NAMES = st.lists(st.sampled_from(["a", "thumbs", "up", "100", "x9"]),
+                       min_size=1, max_size=3).map(" ".join)
+DIRTY_NAMES = st.text(alphabet="ab9 A-\n\t\xe9", max_size=5)
+
+
+@st.composite
+def emoji_tables(draw) -> dict[str, str]:
+    """Up to six entries with clean names, and up to two bad ones put in at
+    drawn places: an empty key, or a name that may break the rules."""
+    pairs = draw(st.lists(st.tuples(EMOJI_KEYS, CLEAN_NAMES), max_size=6))
+    bad = st.tuples(EMOJI_KEYS | st.just(""), DIRTY_NAMES) | st.tuples(st.just(""), CLEAN_NAMES)
+    for pair in draw(st.lists(bad, max_size=2)):
+        pairs.insert(draw(st.integers(0, len(pairs))), pair)
+    return dict(pairs)
+
+
+class TestEmojiTableChecks:
+    @settings(max_examples=400, deadline=None)
+    @given(emoji_tables())
+    @example({"\U0001F44D": "thumbs\nup"})
+    @example({"\U0001F44D": "thumbs up", "x": "a\n", "": "joy"})
+    @example({"\xa9": "copyright", "\u2764\ufe0f": "red heart", "\U0001FB00": "block"})
+    def test_matches_the_per_entry_reference(self, entries):
+        try:
+            expected = ReferenceEmojiTable(entries)
+        except ValueError as err:
+            with pytest.raises(ValueError) as raised:
+                EmojiTable(entries)
+            assert str(raised.value) == str(err)
+        else:
+            assert EmojiTable(entries).pattern.pattern == expected.pattern.pattern
