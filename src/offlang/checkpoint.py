@@ -11,7 +11,6 @@ no longer has, which is dropped.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import itertools
 import json
@@ -39,38 +38,22 @@ def save_checkpoint(path, model: MtlModel, vocab: Vocabulary,
         "vocab": vocab.to_lines(),
     }
     layout = parameter_layout(model.encoder_config, model.head_config)
-    size = sum(math.prod(shape) for shape in layout.values())
+    params = np.concatenate([model.params[name].data.ravel() for name in layout])
     meta_bytes = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"),
                                dtype=np.uint8)
-    # an .npz of two .npy members, as np.savez writes one, except that each
-    # parameter's bytes go straight into `params`: no flat copy is built
-    with zipfile.ZipFile(path, "w") as archive:
-        with archive.open("params.npy", "w", force_zip64=True) as member:
-            np.lib.format.write_array_header_1_0(member, {
-                "descr": np.dtype(np.float64).str, "fortran_order": False,
-                "shape": (size,)})
-            for name in layout:
-                member.write(np.ascontiguousarray(model.params[name].data, dtype=np.float64))
-        with archive.open("meta.npy", "w", force_zip64=True) as member:
-            np.lib.format.write_array(member, meta_bytes)
+    with open(path, "wb") as handle:
+        np.savez(handle, params=params, meta=meta_bytes)
 
 
 def _unflatten(params: np.ndarray, layout: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    """Per-name views of a format-3 parameter vector, cut in `layout` order.
-    Its dtype, length and finiteness are each checked once over the whole
-    vector; a non-finite value is traced back to the parameter holding it."""
+    """Per-name views of a format-3 parameter vector, cut in `layout` order,
+    once its dtype and length are checked."""
     ends = list(itertools.accumulate(math.prod(shape) for shape in layout.values()))
-    size = ends[-1]
     if params.dtype.type is not np.float64:     # either byte order
         raise ValueError(f"the parameter vector holds {params.dtype} values, not float64")
-    if params.shape != (size,):
+    if params.shape != (ends[-1],):
         raise ValueError(f"the parameter vector has shape {params.shape}, "
-                         f"expected ({size},) for this model")
-    finite = np.isfinite(params)
-    if not finite.all():
-        first = int(np.argmin(finite))
-        name = list(layout)[bisect.bisect_right(ends, first)]
-        raise ValueError(f"parameter {name} holds a non-finite value")
+                         f"expected ({ends[-1]},) for this model")
     starts = [0] + ends[:-1]
     return {name: params[start:end].reshape(shape)
             for (name, shape), start, end in zip(layout.items(), starts, ends)}
@@ -165,10 +148,9 @@ def load_checkpoint(path) -> tuple[MtlModel, Vocabulary, LossWeights]:
             arrays.pop("baseline.out.w", None)
             arrays.pop("baseline.out.b", None)
         model = MtlModel.from_arrays(encoder_config, head_config, arrays)
-        if version != FORMAT_VERSION:
-            for name, tensor in model.params.items():
-                if not np.isfinite(tensor.data).all():
-                    raise ValueError(f"parameter {name} holds a non-finite value")
+        for name, tensor in model.params.items():
+            if not np.isfinite(tensor.data).all():
+                raise ValueError(f"parameter {name} holds a non-finite value")
         vocab = Vocabulary.from_lines(meta["vocab"])
         if len(vocab) > model.encoder_config.vocab_size:
             raise ValueError(f"the vocabulary has {len(vocab)} entries, more than the "

@@ -196,9 +196,6 @@ class MtlModel:
     def n_params(self) -> int:
         return sum(t.data.size for t in self.params.values())
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.params.items()}
-
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.grad = None

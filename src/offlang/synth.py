@@ -46,15 +46,6 @@ _CATEGORIES = {
 _FILLER = ["the", "so", "very", "really", "just", "a", "what", "is", "that",
            "today", "again", "now", "here", "ok", "well"]
 
-
-def _draw_words(rng, indicators: list[str], n_words: int) -> list[str]:
-    """Two indicator words, then n_words - 2 filler words, unshuffled. One
-    `integers` call given every word's bound draws the same numbers, and
-    leaves the generator in the same state, as one scalar call per word."""
-    picks = rng.integers([len(indicators)] * 2 + [len(_FILLER)] * (n_words - 2)).tolist()
-    return [indicators[i] for i in picks[:2]] + [_FILLER[i] for i in picks[2:]]
-
-
 _NOT_TRIPLE = LabelTriple(TaskLabelA.NOT, TaskLabelB.NULL, TaskLabelC.NULL)
 _UNT_TRIPLE = LabelTriple(TaskLabelA.OFF, TaskLabelB.UNT, TaskLabelC.NULL)
 
@@ -70,7 +61,8 @@ def make_hierarchical_corpus(n: int, seed: int, noise_a: float = 0.0,
     for i in range(n):
         name = names[rng.integers(len(names))]
         triple, indicators = _CATEGORIES[name]
-        words = _draw_words(rng, indicators, n_words)
+        words = [indicators[rng.integers(len(indicators))] for _ in range(2)]
+        words += [_FILLER[rng.integers(len(_FILLER))] for _ in range(n_words - 2)]
         rng.shuffle(words)
         if noise_a > 0.0 and rng.random() < noise_a:
             triple = _UNT_TRIPLE if triple.a is TaskLabelA.NOT else _NOT_TRIPLE
@@ -88,7 +80,8 @@ def make_scored_corpus(n: int, seed: int, n_words: int = 6) -> list[ScoredExampl
     for i in range(n):
         name = names[rng.integers(len(names))]
         _, indicators = _CATEGORIES[name]
-        words = _draw_words(rng, indicators, n_words)
+        words = [indicators[rng.integers(len(indicators))] for _ in range(2)]
+        words += [_FILLER[rng.integers(len(_FILLER))] for _ in range(n_words - 2)]
         rng.shuffle(words)
         base = 0.15 if name == "none" else 0.75
         avg = float(np.clip(base + rng.normal(0, 0.08), 0.0, 1.0))

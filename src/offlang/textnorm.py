@@ -34,13 +34,13 @@ _EMOJI_RANGES = (
 )
 
 
-_EMOJI_CLASS = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _EMOJI_RANGES)
-_EMOJI_CHAR = re.compile(f"[{_EMOJI_CLASS}]")
-_NON_EMOJI_CHAR = re.compile(f"[^{_EMOJI_CLASS}]")
+_EMOJI_CHAR = re.compile(
+    "[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _EMOJI_RANGES) + "]"
+)
 
-# an emoji name, and all names of a table joined by newlines
-_CLEAN_NAME = re.compile(r"[a-z0-9]+( [a-z0-9]+)*")
-_CLEAN_NAMES = re.compile(r"[a-z0-9]+(?:[ \n][a-z0-9]+)*")
+
+def _is_emoji_char(ch: str) -> bool:
+    return _EMOJI_CHAR.match(ch) is not None
 
 
 def _read_table(path) -> list[tuple[int, str, str]]:
@@ -97,11 +97,9 @@ class EmojiTable:
             raise ValueError(bad[1])
         # the class already finds one-character keys inside it, and a branch
         # per such key would be a linear scan per character: re keeps
-        # characters beyond U+FFFF out of its bitmap. Sorting by length is
-        # stable, so the one-character keys outside the class come last, in
-        # table order.
-        keys = sorted((k for k in self.entries if len(k) > 1), key=len, reverse=True)
-        keys += _NON_EMOJI_CHAR.findall("".join(k for k in self.entries if len(k) == 1))
+        # characters beyond U+FFFF out of its bitmap
+        keys = sorted((k for k in self.entries if len(k) > 1 or not _is_emoji_char(k)),
+                      key=len, reverse=True)
         object.__setattr__(self, "pattern", re.compile(
             "|".join([re.escape(k) for k in keys] + [_EMOJI_CHAR.pattern])
         ))
@@ -121,16 +119,9 @@ class EmojiTable:
 
 def _bad_emoji_entry(entries: dict[str, str]) -> tuple[str, str] | None:
     """The key of the first malformed entry of an emoji table and what is
-    wrong with it, or None if there is none. One regex pass over all names
-    joined by newlines clears a well-formed table; the newline count shows
-    that no name held a newline of its own. Only a table that fails it is
-    walked entry by entry, to find the first bad entry."""
-    names = "\n".join(entries.values())
-    if not entries or ("" not in entries and names.count("\n") == len(entries) - 1
-                       and _CLEAN_NAMES.fullmatch(names)):
-        return None
+    wrong with it, or None if there is none."""
     for key, name in entries.items():
-        if not _CLEAN_NAME.fullmatch(name):
+        if not re.fullmatch(r"[a-z0-9]+( [a-z0-9]+)*", name):
             return key, f"emoji name {name!r} not clean lowercase words"
         if not key:
             return key, "empty emoji key"

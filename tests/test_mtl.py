@@ -32,7 +32,7 @@ from offlang.training import TrainConfig, train
 
 from test_autodiff import reference_lstm
 from test_encoder import assert_grads_close, reference_encode
-from test_training import param_digest, ragged_corpus
+from test_training import param_arrays, param_digest, ragged_corpus
 
 
 def weighted_total(l_a: float, l_b: float, l_c: float, weights: LossWeights) -> float:
@@ -414,7 +414,7 @@ class TestParameterLayout:
 
     def test_from_arrays_keeps_values_and_layout_order(self):
         model = MtlModel(self.CONFIG, HeadConfig(hidden=8), seed=5)
-        arrays = dict(reversed(model.state_arrays().items()))
+        arrays = dict(reversed(param_arrays(model).items()))
         loaded = MtlModel.from_arrays(self.CONFIG, HeadConfig(hidden=8), arrays)
         assert list(loaded.params) == list(model.params)
         assert param_digest(loaded.params) == param_digest(model.params)
@@ -487,8 +487,8 @@ class TestCheckpoint:
         loaded, loaded_vocab, weights = load_checkpoint(path)
         assert loaded_vocab.token_to_id == vocab.token_to_id
         assert weights.as_tuple() == (0.4, 0.3, 0.3)
-        for name, arr in model.state_arrays().items():
-            assert np.array_equal(arr, loaded.state_arrays()[name]), name
+        for name, tensor in model.params.items():
+            assert np.array_equal(tensor.data, loaded.params[name].data), name
         before = model.forward_mtl(ids, mask)
         after = loaded.forward_mtl(ids, mask)
         for x, y in zip(before, after):

@@ -66,6 +66,11 @@ def holds_value(node: Tensor) -> bool:
     return True
 
 
+def param_arrays(model) -> dict[str, np.ndarray]:
+    """A copy of each of `model`'s parameter arrays, by name."""
+    return {name: tensor.data.copy() for name, tensor in model.params.items()}
+
+
 def param_digest(params) -> str:
     """The first 16 hex digits of a SHA-256 over each parameter's name,
     shape and float64 bytes, in the model's order."""
@@ -121,8 +126,8 @@ class TestTrain:
         m2, h2 = train(tiny_model(len(vocab), seed=11), vocab, train_ex, val_ex, config)
         assert h1.train_loss == h2.train_loss
         assert h1.val_f1 == h2.val_f1
-        for name, arr in m1.state_arrays().items():
-            assert np.array_equal(arr, m2.state_arrays()[name]), name
+        for name, tensor in m1.params.items():
+            assert np.array_equal(tensor.data, m2.params[name].data), name
 
     def test_history_invariants(self):
         examples, vocab = small_setup()
@@ -386,7 +391,7 @@ class TestPretrainRegression:
         scored = make_scored_corpus(10, seed=4)
         vocab = build_vocab([e.tweet.text for e in examples + scored])
         model = tiny_model(len(vocab), seed=4)
-        before = model.state_arrays()
+        before = param_arrays(model)
         config = TrainConfig(learning_rate=1e-3, batch_size=10, max_epochs=1, seed=4)
         corpora = (scored,) if entry is pretrain_regression else (examples, examples)
         model, _ = entry(model, vocab, *corpora, config)
@@ -399,7 +404,7 @@ class TestPretrainRegression:
         scored = make_scored_corpus(10, seed=5)
         vocab = build_vocab([e.tweet.text for e in scored])
         model = tiny_model(len(vocab), seed=5)
-        before = model.state_arrays()
+        before = param_arrays(model)
         config = TrainConfig(learning_rate=1e-3, batch_size=10, max_epochs=2, seed=5)
         model, _ = pretrain_regression(model, vocab, scored, config)
         changed = any(
