@@ -3,13 +3,15 @@
 Everything runs in float64 so that analytic gradients can be compared
 against central finite differences at tight tolerances. The op set is
 exactly what the encoder, the recurrent heads, and the losses need;
-no attempt is made to be a general framework. Three fused nodes carry
+no attempt is made to be a general framework. Four fused nodes carry
 most of the work, each with a hand-written backward: `lstm`, a single
 recurrence over all heads with BPTT; `attention`, multi-head
-self-attention from scores to context; and `layer_norm`. `affine`
-(x @ w + b) and `dropout` are single lean nodes too. Like every other
-op, each is checked against finite differences. Inside `no_grad()` ops
-build no graph, which is how inference runs.
+self-attention from scores to context; `rows`, the embedding through its
+dropout; and `residual_norm`, a post-norm sub-block's tail,
+layer_norm(x + dropout(h @ w + b)). `affine` (x @ w + b) is a single lean
+node too. Like every other op, each is checked against finite
+differences. Inside `no_grad()` ops build no graph, which is how
+inference runs.
 
 `Tensor.backward` frees the graph as it goes: each node drops its
 gradient, closure and parent links once its closure has run, so saved
@@ -21,15 +23,13 @@ The fused nodes keep only what their backward reads, and rebuild in one
 pass what their parents give back: `lstm` keeps its gate activations,
 cells and tanh(cells) and overwrites them with gradients in backward;
 `attention` keeps each group's softmax probabilities and boolean dropout
-mask; `layer_norm` keeps x - mean and two per-row statistics; `dropout`
-keeps a boolean mask; `affine` keeps nothing but its parents; and `gelu`
-keeps nothing but its input, recomputing tanh in backward. A node's value
-stays alive as long as the node does, even where no backward reads it:
-the backwards of `+` and `dropout`, and `layer_norm`'s for x, need only
-their inputs' shapes. `Tensor.release` drops such a value once its
-consumers are built and keeps the shape; `encoder.encode` releases its
-embedding rows and every sum, projection and dropout output that feeds
-only these ops.
+mask; `residual_norm` keeps the centered sum, two per-row statistics and
+a boolean dropout mask, and `rows` its index arrays and a boolean mask;
+`affine` keeps nothing but its parents; and `gelu` keeps nothing but its
+input, recomputing tanh in backward. The values that no backward reads,
+the embedding's gathers and sum and each tail's projection, dropout
+output and residual sum, are temporaries inside `rows` and
+`residual_norm`, so no graph node holds them.
 
 Execution is packed: token activations are (N, ...) rows, one per real
 token in row-major order, and the packed ops, `lstm` and `attention`, take
@@ -73,7 +73,7 @@ def no_grad():
 class Tensor:
     """A numpy array plus a gradient slot and a backward closure."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_released")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -81,34 +81,13 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
-        self._released = None     # the shape of a value dropped by `release`
 
     @property
     def shape(self):
-        return self.data.shape if self._released is None else self._released
+        return self.data.shape
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __getattr__(self, name):
-        # reached only when normal lookup fails, as for `data` after `release`
-        if name == "data" and self._released is not None:
-            raise RuntimeError(f"the value of this {self._released} graph node was released; "
-                               "only its shape is kept")
-        raise AttributeError(f"'Tensor' object has no attribute {name!r}")
-
-    def release(self):
-        """Drop this graph node's value and keep only its shape, once every
-        consumer that reads it has been built. Only a consumer whose
-        backward needs nothing of it but its shape may follow: `+`,
-        `dropout` and `layer_norm`'s x. A later read of `.data` raises
-        RuntimeError, and the node's gradient is allocated from the shape.
-        A tensor outside a graph (a leaf, or any result under `no_grad()`)
-        keeps its value, so callers may release unconditionally: there,
-        only the caller's own names hold the value anyway."""
-        if self._backward is not None and self._released is None:
-            self._released = self.data.shape
-            del self.data
 
     # -- graph construction -------------------------------------------------
 
@@ -391,29 +370,73 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Embedding lookup: gather rows of `table` by an integer id array."""
-    ids = np.asarray(ids)
-    out_data = table.data[ids]
+def _keep_mask(shape, rate: float, rng: np.random.Generator | None):
+    """An inverted-dropout keep mask: a boolean array drawn at `shape`, one
+    entry per element, and the scale 1 / (1 - rate) of its kept entries.
+    `rng=None` or rate 0 means evaluation mode: nothing is drawn, and the
+    mask is None."""
+    if rng is None or rate <= 0.0:
+        return None, 1.0
+    return rng.random(shape) >= rate, 1.0 / (1.0 - rate)
+
+
+def rows(tok_emb: Tensor, pos_emb: Tensor, ids: np.ndarray, pos: np.ndarray,
+         rate: float, rng: np.random.Generator | None) -> Tensor:
+    """The embedding dropout(tok_emb[ids] + pos_emb[pos]) of packed tokens,
+    one row per (token id, position) pair, as one node. With `rng` and rate
+    > 0 the keep mask is drawn at the output's shape, one entry per token
+    and feature, after the gathers.
+
+    Forward and backward evaluate the expressions of the two gathers, their
+    sum and dropout as separate nodes would, in their order, so results
+    are bit-identical to them: dropout multiplies by `keep * scale`, whose
+    values are those of a float mask of 0 and 1 / (1 - rate). The node keeps
+    only the index arrays and the boolean mask; backward scatters the
+    gradient into each table with `np.add.at`, since an id may repeat."""
+    out_data = tok_emb.data[ids] + pos_emb.data[pos]
+    keep, scale = _keep_mask(out_data.shape, rate, rng)
+    if keep is not None:
+        out_data = out_data * (keep * scale)
 
     def backward(g):
-        if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, ids, g)
-            table._accumulate(full)
+        if keep is not None:
+            g = g * (keep * scale)
+        for table, index in ((tok_emb, ids), (pos_emb, pos)):
+            if table.requires_grad:
+                full = np.zeros_like(table.data)
+                np.add.at(full, index, g)
+                table._accumulate(full)
 
-    return Tensor._result(out_data, (table,), backward)
+    return Tensor._result(out_data, (tok_emb, pos_emb), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Layer norm over the last axis, (x - mean) / sqrt(var + LN_EPS) *
-    gamma + beta, as one node. Forward and backward evaluate the same
-    expressions, in the same order, as the composed ops (`mean`, `-`, `**`,
-    `*`, `+`) would, so the results are bit-identical to them. The node
-    keeps x - mean, the variance plus LN_EPS and its inverse square root;
-    the gamma gradient recomputes the normalized x from them."""
-    inv_n = 1.0 / x.data.shape[-1]
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+def residual_norm(x: Tensor, h: Tensor, w: Tensor, b: Tensor, gamma: Tensor,
+                  beta: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """layer_norm(x + dropout(h @ w + b)) for (N, d) rows x and (N, e) rows
+    h, an (e, d) weight and a (d,) bias, as one node: a post-norm
+    sub-block's tail, from its output projection to its norm. The norm runs
+    over the last axis, (t - mean) / sqrt(var + LN_EPS) * gamma + beta for
+    the sum t. The dropout keep mask is drawn as in `rows`, after the
+    projection.
+
+    Forward and backward evaluate the expressions of the composed nodes
+    (the projection, dropout, `+`, and the norm's `mean`, `-`, `**`, `*` and
+    `+`) in their order, so results are bit-identical to them. The node
+    keeps t - mean, the variance plus LN_EPS, its inverse square root and
+    the boolean mask; the gamma gradient recomputes the normalized t from
+    them, and the projection's gradients read h and w from the parents. No
+    projection, dropout output or sum is kept."""
+    # a new array, not the bias added in place into the product: in place,
+    # the benchmark's `infer` loop left glibc's heap more fragmented, about
+    # 3.5 MiB more peak RSS after 80 evaluate-and-predict cycles
+    sub = h.data @ w.data + b.data
+    keep, scale = _keep_mask(sub.shape, rate, rng)
+    if keep is not None:
+        sub = sub * (keep * scale)
+    total = x.data + sub
+    del sub                   # before the norm's temporaries, as the composed nodes freed it
+    inv_n = 1.0 / total.shape[-1]
+    centered = total - total.sum(axis=-1, keepdims=True) * inv_n
     shifted_var = (centered ** 2.0).sum(axis=-1, keepdims=True) * inv_n + LN_EPS
     inv_std = shifted_var ** -0.5
     # a named temporary: folded into one expression, whose temporaries numpy
@@ -424,19 +447,27 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
     def backward(g):
         if beta.requires_grad:
-            beta._accumulate(_unbroadcast(g, beta.data.shape))
+            beta._accumulate(g.sum(axis=0))
         if gamma.requires_grad:
-            gamma._accumulate(_unbroadcast(g * (centered * inv_std), gamma.data.shape))
+            gamma._accumulate((g * (centered * inv_std)).sum(axis=0))
+        d_normed = g * gamma.data
+        d_inv_std = (d_normed * centered).sum(axis=-1, keepdims=True)
+        d_sum_sq = d_inv_std * -0.5 * shifted_var ** -1.5 * inv_n
+        d_centered = d_normed * inv_std + d_sum_sq * 2.0 * centered
+        d_sum = -d_centered.sum(axis=-1, keepdims=True) * inv_n
+        d_total = d_centered + d_sum
         if x.requires_grad:
-            d_normed = g * gamma.data
-            d_inv_std = (d_normed * centered).sum(axis=-1, keepdims=True)
-            d_sum_sq = d_inv_std * -0.5 * shifted_var ** -1.5 * inv_n
-            d_centered = d_normed * inv_std + d_sum_sq * 2.0 * centered
-            d_sum = -d_centered.sum(axis=-1, keepdims=True) * inv_n
-            x._accumulate(d_centered + d_sum)
+            x._accumulate(d_total)
+        if keep is not None:
+            d_total = d_total * (keep * scale)
+        if b.requires_grad:
+            b._accumulate(d_total.sum(axis=0))
+        if h.requires_grad:
+            h._accumulate(d_total @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(h.data.T @ d_total)
 
-    return Tensor._result(out_data, (x, gamma, beta), backward)
-
+    return Tensor._result(out_data, (x, h, w, b, gamma, beta), backward)
 
 def attention(q: Tensor, k: Tensor, v: Tensor, lengths: np.ndarray, n_heads: int,
               rate: float, rng: np.random.Generator | None) -> Tensor:
@@ -721,26 +752,6 @@ def lstm(x: Tensor, lengths: np.ndarray, heads: list) -> Tensor:
                     bias._accumulate(db[cols])
 
     return Tensor._result(out_data, parents, backward)
-
-
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout with a keep mask drawn at x's shape, one entry per
-    element: on packed token rows that is one draw per real token and
-    feature. `rng=None` or rate 0 means evaluation mode (identity).
-
-    One node that keeps only the boolean mask and the scalar 1 / (1 - rate):
-    forward and backward multiply by `keep * scale`, whose values are those
-    of a float mask of 0 and 1 / (1 - rate)."""
-    if rng is None or rate <= 0.0:
-        return x
-    keep = rng.random(x.data.shape) >= rate
-    scale = 1.0 / (1.0 - rate)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * (keep * scale))
-
-    return Tensor._result(x.data * (keep * scale), (x,), backward)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -26,6 +26,9 @@ from .mtl import HeadConfig, LossWeights, MtlModel, parameter_layout
 from .tokenizer import Vocabulary
 
 FORMAT_VERSION = 3
+# the annotations evaluated once: each `get_type_hints` call compiles every
+# field's annotation string again
+CONFIG_HINTS = {cls: typing.get_type_hints(cls) for cls in (EncoderConfig, HeadConfig)}
 
 
 def save_checkpoint(path, model: MtlModel, vocab: Vocabulary,
@@ -108,8 +111,7 @@ def _describe(hint) -> str:
 
 def _config(cls, section):
     """Build a config dataclass from a metadata section with exactly its keys."""
-    return cls(**check_section(section, typing.get_type_hints(cls),
-                               f"{cls.__name__} metadata"))
+    return cls(**check_section(section, CONFIG_HINTS[cls], f"{cls.__name__} metadata"))
 
 
 def load_checkpoint(path) -> tuple[MtlModel, Vocabulary, LossWeights]:
@@ -132,8 +134,9 @@ def load_checkpoint(path) -> tuple[MtlModel, Vocabulary, LossWeights]:
                 raise ValueError("no metadata entry")
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
             version = meta["version"]
-            if version not in (1, 2, FORMAT_VERSION):
-                raise ValueError(f"unsupported checkpoint version {version}")
+            # an int, so that true (== 1) and 3.0 (== 3) are not taken for one
+            if type(version) is not int or version not in (1, 2, FORMAT_VERSION):
+                raise ValueError(f"unsupported checkpoint version {json.dumps(version)}")
             encoder_config = _config(EncoderConfig, meta["encoder"])
             head_config = _config(HeadConfig, meta["head"])
             if version == FORMAT_VERSION:

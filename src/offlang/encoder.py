@@ -6,17 +6,17 @@ autodiff core so gradients are exact. Execution is packed: every layer runs
 on the batch's real tokens only, and the output is those packed token rows
 and their row lengths (see `encode`). `encode` is the only reader of the
 tokenizer's padding mask: past it, a batch is rows plus `lengths`.
-Attention, layer norm, each projection and each dropout are single autodiff
-nodes (`autodiff.attention`, `autodiff.layer_norm`, `autodiff.affine`,
-`autodiff.dropout`); attention pads each length-sorted group of rows only to
-its own longest row. In training, the graph keeps a value only where a
-backward reads it: the embedding rows, each residual sum, each sub-block's
-output projection and its dropout output feed only `+`, `dropout` and
-`layer_norm`, which need their shapes alone, so `encode` releases them
-(`Tensor.release`) as soon as their consumers are built. The graph then
-keeps the embedding dropout's output and, per layer, q, k, v, the
-attention context, the first norm's output, the feed-forward rows before
-and after GELU, and the second norm's output, the next layer's input.
+The embedding, attention, each projection and each sub-block's tail are
+single autodiff nodes (`autodiff.rows`, `autodiff.attention`,
+`autodiff.affine`, `autodiff.residual_norm`); attention pads each
+length-sorted group of rows only to its own longest row. A tail,
+layer_norm(x + dropout(h @ w + b)), runs from a sub-block's output
+projection to its norm, and `rows` runs the embedding through its dropout,
+so the sums, projections and dropout outputs that no backward reads are
+temporaries inside these nodes. In training, the graph then keeps the
+embedding's output and, per layer, q, k, v, the attention context, the
+first norm's output, the feed-forward rows before and after GELU, and the
+second norm's output, the next layer's input.
 `encoder_layout` gives the parameter names and shapes, and `init_params`
 fills them.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .autodiff import Tensor, affine, attention, dropout, layer_norm, rows
+from .autodiff import Tensor, affine, attention, residual_norm, rows
 
 
 @dataclass(frozen=True)
@@ -153,40 +153,22 @@ def encode(params: dict[str, Tensor], config: EncoderConfig,
 
     rate = config.dropout_rate
     tokens = np.flatnonzero(np.arange(T) < lengths[:, None])     # row-major (b, t)
-    pos = tokens % T
 
     def dense(x, name):
         return affine(x, params[f"{name}.w"], params[f"{name}.b"])
 
-    def add_norm(x, sub, ln):
-        """layer_norm(x + dropout(sub)) with `ln`'s gamma and beta. No
-        backward reads sub, its dropout output or the sum, only their
-        shapes, so each is released once its consumer is built. Without a
-        graph nothing is released, and a `sub` passed as a temporary dies
-        after the sum, as it would in one expression."""
-        dropped = dropout(sub, rate, rng)
-        total = x + dropped
-        sub.release()
-        dropped.release()
-        del sub, dropped
-        out = layer_norm(total, params[f"{ln}.gamma"], params[f"{ln}.beta"])
-        total.release()
-        return out
+    def tail(x, h, name, ln):
+        """layer_norm(x + dropout(h @ w + b)) with `name`'s projection and
+        `ln`'s gamma and beta."""
+        return residual_norm(x, h, params[f"{name}.w"], params[f"{name}.b"],
+                             params[f"{ln}.gamma"], params[f"{ln}.beta"], rate, rng)
 
-    tok_rows = rows(params["tok_emb"], ids.reshape(-1)[tokens])
-    pos_rows = rows(params["pos_emb"], pos)
-    emb = tok_rows + pos_rows
-    tok_rows.release()
-    pos_rows.release()
-    x = dropout(emb, rate, rng)
-    if x is not emb:              # unchanged, emb is x, which the projections read
-        emb.release()
-    del tok_rows, pos_rows, emb   # without a graph, each dies where one expression frees it
+    x = rows(params["tok_emb"], params["pos_emb"], ids.reshape(-1)[tokens], tokens % T,
+             rate, rng)
     for layer in range(config.n_layers):
         p = f"layer{layer}"
         q, k, v = (dense(x, f"{p}.attn.{proj}") for proj in "qkv")
         ctx = attention(q, k, v, lengths, config.n_heads, rate, rng)
-        x = add_norm(x, dense(ctx, f"{p}.attn.o"), f"{p}.ln1")
-        ffn = dense(dense(x, f"{p}.ffn.in").gelu(), f"{p}.ffn.out")
-        x = add_norm(x, ffn, f"{p}.ln2")
+        x = tail(x, ctx, f"{p}.attn.o", f"{p}.ln1")
+        x = tail(x, dense(x, f"{p}.ffn.in").gelu(), f"{p}.ffn.out", f"{p}.ln2")
     return x, lengths

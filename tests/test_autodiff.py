@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from offlang import autodiff
 from offlang.autodiff import (
     ATTENTION_GROUPS, LN_EPS, MASK_NEG, Tensor, _sigmoid, affine, attention,
-    cross_entropy, dropout, layer_norm, lstm, no_grad, rows,
+    cross_entropy, lstm, no_grad, residual_norm, rows,
 )
 
 
@@ -67,12 +67,47 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
     return Tensor._result(x.data[index], (x,), backward)
 
 
+def reference_rows(table: Tensor, ids: np.ndarray) -> Tensor:
+    """The single-table embedding lookup that `rows` replaced: the rows of
+    `table` at an integer id array, scattered back with `np.add.at`."""
+    def backward(g):
+        if table.requires_grad:
+            full = np.zeros_like(table.data)
+            np.add.at(full, ids, g)
+            table._accumulate(full)
+
+    return Tensor._result(table.data[ids], (table,), backward)
+
+
+def reference_dropout(x: Tensor, rate, rng) -> Tensor:
+    """Dropout as the product with a float mask of 0 and 1 / (1 - rate),
+    drawn at x's shape; `rng=None` or rate 0 returns x and draws nothing."""
+    if rng is None or rate <= 0.0:
+        return x
+    keep = rng.random(x.shape) >= rate
+    return x * Tensor(keep.astype(np.float64) / (1.0 - rate))
+
+
 def reference_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """The composed layer norm that `layer_norm` replaced."""
+    """Layer norm over the last axis from composed ops: the norm that ends
+    `residual_norm`."""
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered ** 2.0).mean(axis=-1, keepdims=True)
     return centered * (var + LN_EPS) ** -0.5 * gamma + beta
+
+
+def composed_rows(tok_emb, pos_emb, ids, pos, rate, rng) -> Tensor:
+    """The nodes that `rows` fused: two single-table gathers, their sum
+    and dropout."""
+    return reference_dropout(reference_rows(tok_emb, ids) + reference_rows(pos_emb, pos),
+                             rate, rng)
+
+
+def composed_residual_norm(x, h, w, b, gamma, beta, rate, rng) -> Tensor:
+    """The nodes that `residual_norm` fused: the projection, dropout, the
+    residual sum and the layer norm."""
+    return reference_layer_norm(x + reference_dropout(h @ w + b, rate, rng), gamma, beta)
 
 
 def kept_tanh_gelu(x: Tensor) -> Tensor:
@@ -219,9 +254,11 @@ class TestOps:
         check(lambda x: (x.mean(axis=-1, keepdims=True) * x).sum(), a)
 
     def test_rows_gather_scatter(self):
-        table = RNG.normal(size=(7, 4))
-        ids = np.array([[0, 3, 3], [6, 0, 1]])
-        check(lambda t: (rows(t, ids) ** 2.0).sum(), table)
+        # repeated ids and positions; dropout off both ways
+        tables = RNG.normal(size=(7, 4)), RNG.normal(size=(5, 4))
+        ids, pos = np.array([0, 3, 3, 6, 0, 1]), np.array([0, 1, 2, 0, 1, 0])
+        for rate, gen in ((0.5, None), (0.0, np.random.default_rng(0))):
+            check(lambda t, p: (rows(t, p, ids, pos, rate, gen) ** 2.0).sum(), *tables)
 
     def test_scatter_and_gather_distinct_rows(self):
         a = RNG.normal(size=(4, 3))
@@ -294,14 +331,26 @@ class TestMachinery:
         assert abs(float(x.grad) - 12 * 1.5) < 1e-12
 
     def test_dropout_eval_mode_is_identity(self):
-        x = Tensor(RNG.normal(size=(5, 5)))
-        assert dropout(x, 0.5, None) is x
+        """With `rng=None` or rate 0 the fused nodes run no dropout and draw
+        nothing."""
+        tok, pos_table = RNG.normal(size=(7, 5)), RNG.normal(size=(4, 5))
+        ids, pos = np.array([0, 3, 3, 6, 1]), np.array([0, 1, 2, 0, 3])
+        x, h, w, b, gamma, beta = (Tensor(RNG.normal(size=shape)) for shape in
+                                   ((5, 5), (5, 3), (3, 5), 5, 5, 5))
+        want_tail = reference_layer_norm(x + (h @ w + b), gamma, beta).data
+        for rate, gen in ((0.5, None), (0.0, np.random.default_rng(0))):
+            state = gen.bit_generator.state if gen else None
+            out = rows(Tensor(tok), Tensor(pos_table), ids, pos, rate, gen)
+            assert np.array_equal(out.data, tok[ids] + pos_table[pos])
+            out = residual_norm(x, h, w, b, gamma, beta, rate, gen)
+            assert np.array_equal(out.data, want_tail)
+            assert state is None or gen.bit_generator.state == state
 
     def test_dropout_preserves_expectation(self):
         rng = np.random.default_rng(0)
-        x = Tensor(np.ones((200, 200)))
-        out = dropout(x, 0.3, rng)
-        assert abs(out.data.mean() - 1.0) < 0.01
+        index = np.zeros(200, dtype=np.int64)
+        out = rows(Tensor(np.ones((1, 200))), Tensor(np.zeros((1, 200))), index, index, 0.3, rng)
+        assert out.shape == (200, 200) and abs(out.data.mean() - 1.0) < 0.01
 
 
 class TestGraphLifetime:
@@ -439,34 +488,83 @@ def closure_arrays(node: Tensor) -> list[np.ndarray]:
     return arrays
 
 
+FUSED = {"rows": (rows, composed_rows),
+         "residual_norm": (residual_norm, composed_residual_norm)}
+
+
+def fused_call(name, n, d, seed):
+    """Random inputs for the fused node `name` on n packed tokens of width
+    d: the leaf arrays, and a function that builds a call of `op`, the node
+    or its composition, on their Tensors with a rate and a generator. Token
+    ids repeat, and h is one column wider than x."""
+    rng = np.random.default_rng(seed)
+    if name == "rows":
+        arrays = [rng.normal(size=(5, d)), rng.normal(size=(9, d))]
+        ids, pos = rng.integers(0, 5, n), rng.integers(0, 9, n)
+        return arrays, lambda op, rate, gen: lambda t, p: op(t, p, ids, pos, rate, gen)
+    arrays = [rng.normal(size=(n, d)) * 3.0, rng.normal(size=(n, d + 1)),
+              rng.normal(size=(d + 1, d))] + [rng.normal(size=d) for _ in range(3)]
+    return arrays, lambda op, rate, gen: lambda *leaves: op(*leaves, rate, gen)
+
+
+def fused_results(name, case, rate, seeded):
+    """For the node `name` and then its composition: the output, every
+    leaf's gradient of sum(output * weights) and the generator's next draw
+    (None without a generator)."""
+    n, d, seed = case
+    arrays, call = fused_call(name, n, d, seed)
+    weights = np.random.default_rng(seed + 1).normal(size=(n, d))
+    results = []
+    for op in FUSED[name]:
+        gen = np.random.default_rng(seed) if seeded else None
+        out, grads = grads_and_output(call(op, rate, gen), arrays, weights)
+        results.append((out, grads, gen.random() if gen else None))
+    return results
+
+
+def assert_bit_identical(results):
+    (out, grads, after), (ref, ref_grads, ref_after) = results
+    assert np.array_equal(out, ref)
+    for g, want in zip(grads, ref_grads):
+        assert np.array_equal(g, want)
+    assert after == ref_after
+
+
 class TestDropoutNode:
+    """The dropout inside `rows` and `residual_norm`: a boolean keep mask
+    drawn after the gathers or the projection, at the output's shape."""
+
     @settings(max_examples=60, deadline=None)
-    @given(packed_rows(), st.sampled_from([0.1, 0.5, 0.9]))
-    def test_bit_identical_to_float_mask_product(self, case, rate):
-        n, d, seed = case
-        rng = np.random.default_rng(seed)
-        arrays, weights = [rng.normal(size=(n, d))], rng.normal(size=(n, d))
-        node_rng, mask_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        out, grads = grads_and_output(lambda x: dropout(x, rate, node_rng), arrays, weights)
-        mask = (mask_rng.random((n, d)) >= rate).astype(np.float64) / (1.0 - rate)
-        ref_out, ref_grads = grads_and_output(lambda x: x * Tensor(mask), arrays, weights)
-        assert np.array_equal(out, ref_out)
-        assert np.array_equal(grads[0], ref_grads[0])
-        assert node_rng.random() == mask_rng.random()      # one draw per element
+    @given(packed_rows(), st.sampled_from([0.0, 0.1, 0.5, 0.9]), st.sampled_from(sorted(FUSED)))
+    def test_bit_identical_to_float_mask_product(self, case, rate, name):
+        """The forward, every gradient and the generator's next draw are
+        those of the composed nodes, whose dropout multiplies by a float
+        mask: one draw per element where they draw it, none at rate 0."""
+        assert_bit_identical(fused_results(name, case, rate, seeded=True))
 
     def test_finite_differences(self):
         w = RNG.normal(size=(6, 4))
-        check(lambda x: (dropout(x, 0.4, np.random.default_rng(3)) * Tensor(w)).sum(),
-              RNG.normal(size=(6, 4)))
+        ids, pos = np.array([0, 3, 3, 6, 0, 1]), np.array([0, 1, 2, 0, 1, 0])
+        check(lambda t, p: (rows(t, p, ids, pos, 0.4, np.random.default_rng(3))
+                            * Tensor(w)).sum(), RNG.normal(size=(7, 4)), RNG.normal(size=(3, 4)))
+        check(lambda *leaves: (residual_norm(*leaves, 0.4, np.random.default_rng(3))
+                               * Tensor(w)).sum(),
+              RNG.normal(size=(6, 4)) * 2.0, RNG.normal(size=(6, 5)), RNG.normal(size=(5, 4)),
+              *(RNG.normal(size=4) for _ in range(3)))
 
     def test_one_node_that_keeps_no_float_mask(self):
-        x = Tensor(RNG.normal(size=(6, 4)), requires_grad=True)
-        out = dropout(x, 0.4, np.random.default_rng(3))
-        assert out._parents == (x,)
-        saved = [cell.cell_contents for cell in out._backward.__closure__]
-        arrays = [v for v in saved if isinstance(v, np.ndarray)]
-        assert [a.dtype for a in arrays] == [np.bool_]
-        assert not any(isinstance(v, Tensor) and v is not x for v in saved)
+        """Each fused node is one node whose closure keeps a boolean mask, no
+        (N, d) float array but `residual_norm`'s centered sum, and no Tensor
+        but its parents."""
+        for name, full in (("rows", ["bool"]), ("residual_norm", ["bool", "float64"])):
+            arrays, call = fused_call(name, 6, 4, seed=3)
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            out = call(FUSED[name][0], 0.4, np.random.default_rng(3))(*leaves)
+            assert out._parents == tuple(leaves)
+            kept = [a for a in closure_arrays(out) if a.shape == out.shape]
+            assert sorted(a.dtype.name for a in kept) == full, name
+            saved = [cell.cell_contents for cell in out._backward.__closure__]
+            assert all(v in leaves for v in saved if isinstance(v, Tensor)), name
 
 
 def reference_lstm(x: Tensor, mask: np.ndarray, wx: Tensor, bx: Tensor,
@@ -1014,105 +1112,36 @@ class TestGelu:
         assert all(a is x.data for a in closure_arrays(out))
 
 
-class TestRelease:
-    """`Tensor.release` drops a graph node's value and keeps its shape."""
-
-    @staticmethod
-    def step(release: bool):
-        """x -> exp -> dropout -> + x -> layer_norm, with the values that no
-        backward reads (the exp, dropout and sum outputs) released once
-        their consumers exist; returns the leaves' gradients."""
-        x, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in
-                          (np.linspace(-1.0, 1.0, 24).reshape(4, 6), np.ones(6), np.zeros(6)))
-        e = x.exp()
-        dropped = dropout(e, 0.5, np.random.default_rng(0))
-        total = x + dropped
-        out = layer_norm(total, gamma, beta)
-        if release:
-            for node in (e, dropped, total):
-                node.release()
-        (out * Tensor(np.arange(24.0).reshape(4, 6))).sum().backward()
-        return [t.grad for t in (x, gamma, beta)]
-
-    def test_reading_a_released_value_raises(self):
-        x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
-        y = x * 2.0
-        z = y + 1.0
-        y.release()
-        with pytest.raises(RuntimeError, match=r"this \(3, 4\) graph node was released"):
-            y.data
-        assert y.shape == (3, 4) and repr(y) == "Tensor(shape=(3, 4), requires_grad=True)"
-        with pytest.raises(AttributeError):
-            y.value
-        assert z.data.shape == (3, 4)
-
-    def test_released_nodes_route_gradients_bit_identically(self):
-        for got, want in zip(self.step(release=True), self.step(release=False)):
-            assert np.array_equal(got, want)
-
-    def test_release_frees_the_array(self):
-        x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
-        y = x * 3.0                  # `*` keeps its inputs, not its output
-        loss = (y + x).sum()
-        ref = weakref.ref(y.data)
-        y.release()
-        assert ref() is None
-        loss.backward()
-        assert np.array_equal(x.grad, np.full((3, 4), 4.0))
-
-    def test_a_backward_that_reads_a_released_value_fails_loudly(self):
-        x = Tensor(RNG.normal(size=4), requires_grad=True)
-        y = x.exp()
-        loss = (y * y).sum()
-        y.release()
-        with pytest.raises(RuntimeError, match="was released"):
-            loss.backward()
-
-    def test_values_outside_a_graph_are_kept(self):
-        leaf = Tensor(RNG.normal(size=3), requires_grad=True)
-        constant = Tensor(RNG.normal(size=3)) * 2.0           # no parent needs a gradient
-        with no_grad():
-            quiet = leaf * 2.0
-        for t in (leaf, constant, quiet):
-            t.release()
-            assert t.data.shape == (3,)
-
-
 class TestLayerNorm:
+    """The layer norm that ends `residual_norm`, with dropout off."""
+
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(1, 5), min_size=1, max_size=2), st.integers(1, 9),
-           st.integers(0, 2**32))
-    def test_bit_identical_to_composed_reference(self, lead, width, seed):
-        """Same expressions in the same order: the forward and every
-        gradient are bit-identical, not only close."""
-        rng = np.random.default_rng(seed)
-        arrays = [rng.normal(size=tuple(lead) + (width,)) * 3.0,
-                  rng.normal(size=width), rng.normal(size=width)]
-        weights = Tensor(rng.normal(size=tuple(lead) + (width,)))
-        results = []
-        for op in (layer_norm, reference_layer_norm):
-            tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-            out = op(*tensors)
-            (out * weights).sum().backward()
-            results.append([out.data] + [t.grad for t in tensors])
-        for got, want in zip(*results):
-            assert np.array_equal(got, want)
+    @given(packed_rows())
+    def test_bit_identical_to_composed_reference(self, case):
+        """Same expressions in the same order as the composed projection,
+        `+` and `reference_layer_norm`: the forward and every gradient are
+        bit-identical, not only close, at rate 0 and with `rng=None`."""
+        assert_bit_identical(fused_results("residual_norm", case, 0.0, seeded=True))
+        assert_bit_identical(fused_results("residual_norm", case, 0.5, seeded=False))
 
     def test_keeps_no_normalized_copy(self):
-        """The only (N, d) array the graph keeps is x - mean: the gamma
-        gradient recomputes (x - mean) * inv_std."""
-        x, gamma, beta = (Tensor(a, requires_grad=True) for a in
-                          (RNG.normal(size=(5, 6)), RNG.normal(size=6), RNG.normal(size=6)))
-        out = layer_norm(x, gamma, beta)
+        """The only (N, d) array the graph keeps is x + h @ w + b - mean:
+        the gamma gradient recomputes the normalized sum."""
+        arrays, call = fused_call("residual_norm", 5, 6, seed=4)
+        x, h, w, b, gamma, beta = leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = call(residual_norm, 0.0, None)(*leaves)
         full = [a for a in closure_arrays(out) if a.shape == x.shape]
         assert len(full) == 1
-        assert np.allclose(full[0], x.data - x.data.mean(axis=-1, keepdims=True))
+        total = x.data + (h.data @ w.data + b.data)
+        assert np.allclose(full[0], total - total.mean(axis=-1, keepdims=True))
 
     def test_finite_differences(self):
-        x = RNG.normal(size=(5, 6)) * 2.0
         w = RNG.normal(size=(5, 6))
-        check(lambda x, g, b: (layer_norm(x, g, b) * Tensor(w)).sum(),
-              x, RNG.normal(size=6), RNG.normal(size=6))
+        arrays = [RNG.normal(size=(5, 6)) * 2.0, RNG.normal(size=(5, 3)),
+                  RNG.normal(size=(3, 6))] + [RNG.normal(size=6) for _ in range(3)]
+        for rate, gen in ((0.5, None), (0.0, np.random.default_rng(0))):
+            check(lambda *leaves: (residual_norm(*leaves, rate, gen) * Tensor(w)).sum(),
+                  *arrays)
 
 
 class TestNoGrad:

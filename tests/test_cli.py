@@ -180,6 +180,16 @@ class TestBadCheckpoint:
         assert err == (f"error: {path} is not a valid checkpoint: "
                        "loss weights must be finite and nonnegative\n")
 
+    @pytest.mark.parametrize("version", [True, 3.0, "3"], ids=repr)
+    def test_version_that_is_not_an_int(self, tmp_path, capsys, version):
+        # true == 1 and 3.0 == 3, so a membership test alone read these as
+        # formats 1 and 3
+        path = self.rewritten_checkpoint(tmp_path, version=version)
+        assert dispatch(["predict", "--model", str(path), "--text", "a b"]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {path} is not a valid checkpoint: "
+                       f"unsupported checkpoint version {json.dumps(version)}\n")
+
     def test_non_string_vocabulary_entry(self, tmp_path, capsys):
         path = self.rewritten_checkpoint(tmp_path, vocab=[1, 2, 3])
         assert dispatch(["predict", "--model", str(path), "--text", "a b"]) == 1

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from offlang.autodiff import MASK_NEG, Tensor, no_grad, rows
+from offlang.autodiff import MASK_NEG, Tensor
 from offlang.encoder import EncoderConfig, encode, init_encoder, prefix_lengths
-from test_autodiff import grouped_dropout, reference_layer_norm
+from test_autodiff import grouped_dropout, reference_layer_norm, reference_rows
 
 
 def placed_dropout(x, rate, rng, where):
@@ -47,7 +47,7 @@ def reference_encode(params, config, ids, mask, rng=None):
     lengths = real.sum(axis=1)
     T = ids.shape[1]
     rate = config.dropout_rate
-    x = rows(params["tok_emb"], ids) + params["pos_emb"][:T]
+    x = reference_rows(params["tok_emb"], ids) + params["pos_emb"][:T]
     x = placed_dropout(x, rate, rng, real)
     for layer in range(config.n_layers):
         p = f"layer{layer}"
@@ -266,49 +266,3 @@ class TestPackedMatchesPadded:
         assert np.abs(out - ref[real]).max(initial=0.0) <= 1e-13
         assert after == ref_after                     # the stream advanced alike
         assert_grads_close(grads, ref_grads)
-
-
-class TestRelease:
-    """`encode` releases the values that no backward reads, and only those."""
-
-    @staticmethod
-    def gradients(rate, seeded):
-        cfg = tiny_config(dropout_rate=rate)
-        params = init_encoder(cfg, seed=3)
-        lengths = np.array([7, 3, 5, 1])
-        mask = np.arange(8) < lengths[:, None]
-        ids = np.where(mask, np.arange(32).reshape(4, 8) % 8 + 3, 0)
-        rng = np.random.default_rng(5) if seeded else None
-        out, _ = encode(params, cfg, ids, mask, rng)
-        weights = np.random.default_rng(6).normal(size=out.shape)
-        (out * Tensor(weights)).sum().backward()
-        return {name: t.grad for name, t in params.items()}
-
-    @pytest.mark.parametrize("rate, seeded", [(0.0, True), (0.3, False), (0.0, False),
-                                              (0.3, True)])
-    def test_gradients_match_a_run_that_releases_nothing(self, rate, seeded, monkeypatch):
-        """With dropout off (rate 0 or no rng) `dropout` returns the
-        embedding sum itself, which the Q/K/V projections read in backward,
-        so it must not be released; every gradient is bit-identical to a run
-        that releases nothing."""
-        grads = self.gradients(rate, seeded)
-        monkeypatch.setattr(Tensor, "release", lambda self: None)
-        for name, ref in self.gradients(rate, seeded).items():
-            assert np.array_equal(grads[name], ref), name
-
-    def test_nothing_is_released_without_a_graph(self, monkeypatch):
-        released, original = [], Tensor.release
-
-        def release(self):
-            released.append(self)
-            original(self)
-
-        monkeypatch.setattr(Tensor, "release", release)
-        cfg = tiny_config()
-        ids, mask = pad_batch([2, 3, 4, 5], 8)
-        with no_grad():
-            encode(init_encoder(cfg, seed=4), cfg, ids, mask)
-        # the two embedding rows, then the projection, its dropout output
-        # and the sum of each of the four sub-blocks
-        assert len(released) == 2 + 3 * 2 * cfg.n_layers
-        assert all(t.data.shape == (4, cfg.d_model) for t in released)

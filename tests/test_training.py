@@ -26,7 +26,7 @@ from offlang.training import (
 )
 from offlang.tokenizer import build_vocab, encode_batch
 
-from test_autodiff import kept_tanh_gelu
+from test_autodiff import composed_residual_norm, composed_rows, kept_tanh_gelu
 from test_encoder import assert_grads_close, reference_encode
 
 
@@ -54,16 +54,8 @@ def ragged_corpus(n, seed):
 
 def op_of(node: Tensor) -> str:
     """The op that built a graph node: the function that defines its
-    backward closure, such as `rows`, `__add__` or `affine`."""
+    backward closure, such as `rows`, `residual_norm` or `gelu`."""
     return node._backward.__qualname__.split(".<locals>")[0].rsplit(".", 1)[-1]
-
-
-def holds_value(node: Tensor) -> bool:
-    try:
-        node.data
-    except RuntimeError:                  # released: only the shape is kept
-        return False
-    return True
 
 
 def param_arrays(model) -> dict[str, np.ndarray]:
@@ -254,10 +246,12 @@ class TestOneGraphPerStep:
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
     def test_encoder_graph_keeps_only_values_a_backward_reads(self, monkeypatch):
-        """After a training forward, no `rows` or `+` node, no dropout node
-        that only `+` reads and no projection that only dropout reads holds
-        its value: their consumers' backwards need only the shape. Every
-        other node of the encoder's graph holds its value."""
+        """The encoder's training graph is built from fused nodes alone, each
+        of which keeps only what its backward reads: one `rows` node, then
+        per layer three q/k/v `affine` nodes, `attention`, a
+        `residual_norm` tail, the feed-forward `affine` and `gelu`, and a
+        second tail. No `+`, `dropout` or layer-norm node holds a value
+        that no backward reads."""
         outputs, original = [], mtl.encoder_forward
 
         def encode(*args):
@@ -268,54 +262,49 @@ class TestOneGraphPerStep:
         monkeypatch.setattr(mtl, "encoder_forward", encode)
         model, step_loss = self.ragged_step()
         loss = step_loss(np.arange(32), np.random.default_rng(0))
-        nodes, consumers, stack = {}, {}, [outputs[0]]
+        nodes, stack = {}, [outputs[0]]
         while stack:
             node = stack.pop()
             if id(node) in nodes or node._backward is None:
                 continue
             nodes[id(node)] = node
-            for parent in node._parents:
-                consumers.setdefault(id(parent), []).append(op_of(node))
-                stack.append(parent)
+            stack.extend(node._parents)
+        ops = sorted(op_of(node) for node in nodes.values())
+        n_layers = model.encoder_config.n_layers
+        assert len(ops) == 1 + 8 * n_layers
+        assert ops == sorted(["rows"] + n_layers * (
+            ["affine"] * 4 + ["attention", "gelu"] + ["residual_norm"] * 2))
+        loss.backward()
 
-        def spent(key, node):
-            op, readers = op_of(node), set(consumers.get(key, ()))
-            return (op in ("rows", "__add__")
-                    or op == "dropout" and readers == {"__add__"}
-                    or op == "affine" and readers == {"dropout"})
-
-        released = {key for key, node in nodes.items() if spent(key, node)}
-        assert len(released) == 15        # 2 rows, 5 +, 4 dropout, 4 affine at 2 layers
-        for key, node in nodes.items():
-            assert holds_value(node) == (key not in released), op_of(node)
-        loss.backward()                   # the released graph still runs backward
-
-    def test_step_peaks_below_a_step_that_releases_nothing(self, traced_peak, monkeypatch):
-        """Released values and GELU's recomputed tanh take a training step's
-        traced peak below 80% of the same step with nothing released and
-        tanh kept (about 70% here)."""
+    def test_step_peaks_below_the_composed_step(self, traced_peak, monkeypatch):
+        """The fused embedding and tails and GELU's recomputed tanh take a
+        training step's traced peak below 80% of the same step built from
+        the composed references (`composed_rows`, `composed_residual_norm`)
+        with tanh kept (about 52% here)."""
         def step_peak():
             _, step_loss = self.ragged_step()
             return traced_peak(lambda: step_loss(np.arange(32),
                                                  np.random.default_rng(0)).backward())[1]
 
         lean = step_peak()
-        monkeypatch.setattr(Tensor, "release", lambda self: None)
+        monkeypatch.setattr(encoder, "rows", composed_rows)
+        monkeypatch.setattr(encoder, "residual_norm", composed_residual_norm)
         monkeypatch.setattr(Tensor, "gelu", kept_tanh_gelu)
-        keeping = step_peak()
-        assert lean < 0.8 * keeping, lean / keeping
+        composed = step_peak()
+        assert lean < 0.8 * composed, lean / composed
 
     def test_ragged_seeded_run_matches_composed_ops(self, monkeypatch):
         """A seeded `train` run with dropout on ragged 1-20 word tweets gives
         the loss history and parameter bytes, in the same process, that the
-        composed ops give: `x @ w + b` for `affine`, `x * Tensor(mask)` with
-        a float mask for `dropout`, the kept-tanh GELU, and a graph that
-        releases no value and a backward that frees nothing."""
+        composed ops give: `x @ w + b` for `affine`, `composed_rows` and
+        `composed_residual_norm` (single-table gathers, `x * Tensor(mask)`
+        with a float mask for dropout, `+` and the composed layer norm), the
+        kept-tanh GELU, and a backward that frees nothing."""
         self.check_matches_composed_ops(monkeypatch, 0.1)
 
     def test_ragged_seeded_run_without_dropout_matches_composed_ops(self, monkeypatch):
-        """As above with `dropout_rate` 0.0: dropout returns its input
-        unchanged, and the embedding sum it returns is kept."""
+        """As above with `dropout_rate` 0.0: the fused nodes and their
+        compositions draw no mask."""
         self.check_matches_composed_ops(monkeypatch, 0.0)
 
     @staticmethod
@@ -335,12 +324,6 @@ class TestOneGraphPerStep:
         def composed_affine(x, w, b):
             return x @ w + b
 
-        def composed_dropout(x, rate, rng):
-            if rng is None or rate <= 0.0:
-                return x
-            keep = rng.random(x.data.shape) >= rate
-            return x * Tensor(keep.astype(np.float64) / (1.0 - rate))
-
         def keeping_backward(self):
             topo, seen, stack = [], set(), [(self, False)]
             while stack:
@@ -359,9 +342,9 @@ class TestOneGraphPerStep:
         lean = run()
         monkeypatch.setattr(encoder, "affine", composed_affine)
         monkeypatch.setattr(mtl, "affine", composed_affine)
-        monkeypatch.setattr(encoder, "dropout", composed_dropout)
+        monkeypatch.setattr(encoder, "rows", composed_rows)
+        monkeypatch.setattr(encoder, "residual_norm", composed_residual_norm)
         monkeypatch.setattr(Tensor, "backward", keeping_backward)
-        monkeypatch.setattr(Tensor, "release", lambda self: None)
         monkeypatch.setattr(Tensor, "gelu", kept_tanh_gelu)
         assert run() == lean
 
