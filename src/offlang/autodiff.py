@@ -2,8 +2,9 @@
 
 Everything runs in float64 so that analytic gradients can be compared
 against central finite differences at tight tolerances. The op set is
-exactly what the encoder, the recurrent heads, and the losses need;
-no attempt is made to be a general framework. Four fused nodes carry
+what the encoder, the recurrent heads and the losses need, plus the few
+elementwise and shape ops that the tests' composed references use; no
+attempt is made to be a general framework. Four fused nodes carry
 most of the work, each with a hand-written backward: `lstm`, a single
 recurrence over all heads with BPTT; `attention`, multi-head
 self-attention from scores to context; `rows`, the embedding through its
@@ -11,7 +12,10 @@ dropout; and `residual_norm`, a post-norm sub-block's tail,
 layer_norm(x + dropout(h @ w + b)). `affine` (x @ w + b) is a single lean
 node too. Like every other op, each is checked against finite
 differences. Inside `no_grad()` ops build no graph, which is how
-inference runs.
+inference runs. A node gets a backward closure only when some parent
+requires grad (`Tensor._result`), so a one-parent op's closure
+accumulates into its parent unconditionally. Every dropout keep mask,
+in `rows`, `attention` and `residual_norm`, is drawn by `_keep_mask`.
 
 `Tensor.backward` frees the graph as it goes: each node drops its
 gradient, closure and parent links once its closure has run, so saved
@@ -162,8 +166,7 @@ class Tensor:
 
     def __neg__(self):
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(-g)
+            self._accumulate(-g)
 
         return Tensor._result(-self.data, (self,), backward)
 
@@ -187,18 +190,11 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return self * _as_tensor(other) ** -1.0
-
-    def __rtruediv__(self, other):
-        return _as_tensor(other) * self ** -1.0
-
     def __pow__(self, exponent: float):
         out_data = self.data ** exponent
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * exponent * self.data ** (exponent - 1.0))
+            self._accumulate(g * exponent * self.data ** (exponent - 1.0))
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -220,10 +216,9 @@ class Tensor:
         out_data = self.data[index]
 
         def backward(g):
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, index, g)    # an index array may repeat entries
-                self._accumulate(full)
+            full = np.zeros_like(self.data)
+            np.add.at(full, index, g)    # an index array may repeat entries
+            self._accumulate(full)
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -233,8 +228,7 @@ class Tensor:
         out_data = self.data.reshape(*shape)
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(g.reshape(self.data.shape))
+            self._accumulate(g.reshape(self.data.shape))
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -243,8 +237,7 @@ class Tensor:
         inverse = np.argsort(axes)
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(g.transpose(*inverse))
+            self._accumulate(g.transpose(*inverse))
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -252,10 +245,9 @@ class Tensor:
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(g):
-            if self.requires_grad:
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g, self.data.shape).copy())
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -272,15 +264,13 @@ class Tensor:
         out_data = np.exp(self.data)
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * out_data)
+            self._accumulate(g * out_data)
 
         return Tensor._result(out_data, (self,), backward)
 
     def log(self):
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(g / self.data)
+            self._accumulate(g / self.data)
 
         return Tensor._result(np.log(self.data), (self,), backward)
 
@@ -288,8 +278,7 @@ class Tensor:
         out_data = np.tanh(self.data)
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * (1.0 - out_data ** 2))
+            self._accumulate(g * (1.0 - out_data ** 2))
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -297,8 +286,7 @@ class Tensor:
         out_data = _sigmoid(self.data)
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * out_data * (1.0 - out_data))
+            self._accumulate(g * out_data * (1.0 - out_data))
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -314,11 +302,10 @@ class Tensor:
         out_data = 0.5 * x * (1.0 + t)
 
         def backward(g):
-            if self.requires_grad:
-                t = np.tanh(_gelu_inner(x))
-                d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-                grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner
-                self._accumulate(g * grad)
+            t = np.tanh(_gelu_inner(x))
+            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+            grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner
+            self._accumulate(g * grad)
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -329,9 +316,8 @@ class Tensor:
         out_data = e / e.sum(axis=-1, keepdims=True)
 
         def backward(g):
-            if self.requires_grad:
-                dot = (g * out_data).sum(axis=-1, keepdims=True)
-                self._accumulate(out_data * (g - dot))
+            dot = (g * out_data).sum(axis=-1, keepdims=True)
+            self._accumulate(out_data * (g - dot))
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -484,13 +470,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, lengths: np.ndarray, n_heads: int
     padded only to its own longest row Lg, with PAD keys masked out; a group
     whose rows all have length Lg (a batch of one, say) is gathered without
     padding or mask.
-    With `rng` and `rate` > 0 the softmax weights get inverted dropout, one
-    keep mask drawn per group, in group order, at its block's shape. The
-    backward is written by hand. Each group keeps its softmax probabilities
-    and, with dropout, its boolean keep mask; backward rebuilds the float
-    keep mask and the dropped-out weights from them, and gathers each
-    group's head-layout q, k and v again from the parents. Inside
-    `no_grad()` no block is kept.
+    With `rng` and `rate` > 0 the softmax weights get inverted dropout: one
+    `_keep_mask` per group, in group order, drawn at its block's shape, so
+    the weights are multiplied by `keep * scale` as in `rows`. The backward
+    is written by hand. Each group keeps its softmax probabilities and, with
+    dropout, its boolean keep mask; backward rebuilds `keep * scale` and the
+    dropped-out weights from them, and gathers each group's head-layout q, k
+    and v again from the parents. Inside `no_grad()` no block is kept.
     """
     lengths = np.asarray(lengths)
     n_tokens = int(lengths.sum())
@@ -537,27 +523,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, lengths: np.ndarray, n_heads: int
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
-        kept = None
-        weights = probs
-        if rng is not None and rate > 0.0:
-            kept = rng.random(probs.shape) >= rate
-            weights = probs * (kept / (1.0 - rate))
+        keep, drop_scale = _keep_mask(probs.shape, rate, rng)
+        weights = probs if keep is None else probs * (keep * drop_scale)
         to_tokens(out_data, group, weights @ vh)
         if keep_graph:
-            blocks.append((group, probs, kept))
+            blocks.append((group, probs, keep))
 
     def backward(g):
         grads = [np.empty((n_tokens, d)) for _ in range(3)]
-        for group, probs, kept in blocks:
-            weights = probs
-            if kept is not None:
-                keep = kept / (1.0 - rate)
-                weights = probs * keep
+        for group, probs, keep in blocks:
+            drop = None if keep is None else keep * drop_scale
+            weights = probs if drop is None else probs * drop
             d_ctx = to_heads(g, group)
             d_scores = d_ctx @ to_heads(v.data, group).transpose(0, 1, 3, 2)
             d_vh = weights.transpose(0, 1, 3, 2) @ d_ctx
-            if kept is not None:
-                d_scores *= keep
+            if drop is not None:
+                d_scores *= drop
             d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
             d_scores *= probs
             d_scores *= scale

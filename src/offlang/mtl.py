@@ -43,6 +43,10 @@ CHUNK_ROWS = 32
 class HeadConfig:
     hidden: int = 64
 
+    def __post_init__(self):
+        if self.hidden < 1:
+            raise ValueError(f"head hidden size must be >= 1, not {self.hidden}")
+
     def to_dict(self):
         return asdict(self)
 
@@ -144,9 +148,12 @@ class MtlModel:
     @classmethod
     def from_arrays(cls, encoder_config: EncoderConfig, head_config: HeadConfig,
                     arrays: dict[str, np.ndarray]) -> MtlModel:
-        """A model holding copies of `arrays`, which must have exactly the
-        names and shapes of `parameter_layout` and real floating-point
-        values; any other input raises ValueError. Draws no random numbers."""
+        """A model holding `arrays` as its parameters, which must have
+        exactly the names and shapes of `parameter_layout` and real
+        floating-point values; any other input raises ValueError. A native
+        float64 array is held as it is, not copied, so the model shares it
+        with the caller; any other float array is converted. Draws no random
+        numbers."""
         layout = parameter_layout(encoder_config, head_config)
         if set(arrays) != set(layout):
             raise ValueError("parameter names do not match the model")
@@ -159,7 +166,7 @@ class MtlModel:
                 # astype would drop an imaginary part without an error
                 raise ValueError(f"parameter {name} holds {arr.dtype} values, "
                                  f"not real floating point")
-            params[name] = Tensor(arr.astype(np.float64), requires_grad=True)
+            params[name] = Tensor(arr.astype(np.float64, copy=False), requires_grad=True)
         model = cls.__new__(cls)                       # skips __init__'s draws
         model._hold(encoder_config, head_config, params)
         return model

@@ -197,9 +197,12 @@ def emoji_to_words(text: str, table: EmojiTable) -> str:
 
     Longest table key wins at each position. Emoji-block codepoints absent
     from the table are dropped and tallied in a warning. Text without emoji
-    is returned unchanged.
+    is returned unchanged. Otherwise the plain-text runs before, between and
+    after the emoji are stripped of whitespace and joined to the names by
+    single spaces, any run of two or more spaces left in the result
+    collapses into one, and the result is stripped.
     """
-    # plain-text runs at even indices, emoji names ("" if dropped) between
+    # plain-text runs, stripped, at even indices; emoji names ("" if dropped) between
     pieces: list[str] = []
     run_start = 0
     unknown = 0
@@ -208,20 +211,13 @@ def emoji_to_words(text: str, table: EmojiTable) -> str:
         if name is None:
             name = ""
             unknown += 1
-        pieces += [text[run_start:match.start()], name]
+        pieces += [text[run_start:match.start()].strip(), name]
         run_start = match.end()
     if not pieces:
         return text
     if unknown:
         log.warning("dropped %d emoji absent from the emoji table", unknown)
-    pieces.append(text[run_start:])
-    # whitespace next to an emoji collapses into the single space around its name
-    last = len(pieces) - 1
-    for k in range(0, last + 1, 2):
-        if k > 0:
-            pieces[k] = pieces[k].lstrip()
-        if k < last:
-            pieces[k] = pieces[k].rstrip()
+    pieces.append(text[run_start:].strip())
     return re.sub(r" {2,}", " ", " ".join(pieces)).strip()
 
 
@@ -237,8 +233,6 @@ def segment_hashtag(tag: str, unigrams: UnigramTable) -> str:
     segmentation maximizing the summed unigram log-probability, ties broken
     by fewest words then lexicographically.
     """
-    if not tag:
-        return ""
     if not tag.isupper():
         runs = _capital_runs(tag)
         if len([r for r in runs if r]) >= 2 and "".join(runs) == tag:
@@ -304,10 +298,7 @@ SUBSTITUTIONS = {"url": "http"}
 
 def substitute_rare(text: str) -> str:
     """Whole-token substitution by SUBSTITUTIONS (url -> http)."""
-    tokens = text.split(" ")
-    if not any(tok in SUBSTITUTIONS for tok in tokens):
-        return text
-    return " ".join(SUBSTITUTIONS.get(tok, tok) for tok in tokens)
+    return " ".join(SUBSTITUTIONS.get(tok, tok) for tok in text.split(" "))
 
 
 _HASHTAG = re.compile(r"#(\w+)")

@@ -102,6 +102,7 @@ BAD_CONFIGS = {
                                    "max_epochs": 1}},
                         "loss weights must be finite and nonnegative"),
     "zero_heads": ({"encoder": {"n_heads": 0}}, "all encoder dimensions must be >= 1"),
+    "zero_hidden": ({"head": {"hidden": 0}}, "head hidden size must be >= 1, not 0"),
 }
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from offlang.autodiff import Tensor, no_grad
 from offlang.checkpoint import load_checkpoint, save_checkpoint
 from offlang.corpus import NormContext
-from offlang.encoder import EncoderConfig
+from offlang.encoder import EncoderConfig, encoder_layout
 from offlang.evaluation import evaluate
 from offlang.mtl import (
     CHUNK_ROWS,
@@ -595,6 +595,42 @@ class TestCheckpoint:
         rewrite_checkpoint(path, path, members={"params": swapped})
         loaded, _, _ = load_checkpoint(path)
         assert param_digest(loaded.params) == param_digest(model.params)
+
+    def test_format_3_parameters_share_one_buffer(self, tmp_path, batch):
+        """A format-3 load holds its parameters once: each is a view of the
+        vector read from the file, not a copy of it."""
+        model, vocab, _, _, _ = batch
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, vocab, LossWeights())
+        loaded, _, _ = load_checkpoint(path)
+        vector = loaded.params["tok_emb"].data.base
+        assert vector is not None and vector.size == model.n_params()
+        assert all(t.data.base is vector for t in loaded.params.values())
+
+    def test_format_2_float32_parameter_converted(self, tmp_path, batch):
+        model, vocab, _, _, _ = batch
+        path = tmp_path / "model.ckpt"
+        single = model.params["tok_emb"].data.astype(np.float32)
+        write_per_name_checkpoint(path, model, vocab, extra={"tok_emb": single})
+        loaded, _, _ = load_checkpoint(path)
+        assert loaded.params["tok_emb"].data.dtype == np.float64
+        assert np.array_equal(loaded.params["tok_emb"].data, single)
+
+    def test_zero_head_hidden_size_rejected(self, tmp_path, batch):
+        """A checkpoint whose head hidden size is 0, stored with the vector
+        that size gives (the encoder's parameters and each head's output
+        bias), is not a model: its heads would have no state."""
+        model, vocab, _, _, _ = batch
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, vocab, LossWeights())
+        vector = np.concatenate(
+            [model.params[name].data.ravel() for name in encoder_layout(model.encoder_config)]
+            + [model.params[f"head_{task}.out.b"].data for task in TASKS])
+        rewrite_checkpoint(path, path, meta={"head": {"hidden": 0}},
+                           members={"params": vector})
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} is not a valid checkpoint: head hidden size must be >= 1, not 0")):
+            load_checkpoint(path)
 
     def test_format_3_holds_one_vector_in_layout_order(self, tmp_path, batch):
         model, vocab, _, _, _ = batch

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import random
 import re
 
@@ -165,6 +166,14 @@ def reference_emoji_to_words(text: str, table: EmojiTable) -> str:
     if not pieces:
         return text
     pieces.append(text[run_start:])
+    return two_pass_join(pieces)
+
+
+def two_pass_join(pieces: list[str]) -> str:
+    """The join that `emoji_to_words` did in a second pass: `pieces` holds
+    plain-text runs at even indices and emoji names between; each run is
+    stripped only on the sides that touch an emoji, then all are joined, runs
+    of spaces collapsed and the result stripped."""
     last = len(pieces) - 1
     for k in range(0, last + 1, 2):
         if k > 0:
@@ -172,6 +181,26 @@ def reference_emoji_to_words(text: str, table: EmojiTable) -> str:
         if k < last:
             pieces[k] = pieces[k].rstrip()
     return re.sub(r" {2,}", " ", " ".join(pieces)).strip()
+
+
+def two_pass_emoji_to_words(text: str, table: EmojiTable) -> tuple[str, int]:
+    """`emoji_to_words` as it was before it stripped each plain-text run as
+    it collected it: the same matches, then `two_pass_join`. Also returns
+    the number of emoji it dropped."""
+    pieces: list[str] = []
+    run_start = 0
+    unknown = 0
+    for match in table.pattern.finditer(text):
+        name = table.entries.get(match.group())
+        if name is None:
+            name = ""
+            unknown += 1
+        pieces += [text[run_start:match.start()], name]
+        run_start = match.end()
+    if not pieces:
+        return text, 0
+    pieces.append(text[run_start:])
+    return two_pass_join(pieces), unknown
 
 
 # table emoji, unknown emoji, ZWJ, VS16, control and odd space characters
@@ -188,7 +217,45 @@ MULTI_KEY_TABLE = EmojiTable({
 })
 
 
+# whitespace of every kind the stripping sees, known and unknown emoji, ZWJ
+# and both variation selectors, and plain text
+WHITESPACE_AND_EMOJI = st.lists(st.one_of(
+    st.sampled_from([" ", "  ", "\t", "\n", "\xa0", "\u3000", "\u200D", "\uFE0F", "\uFE0E",
+                     "\U0001F44D", "\U0001F602", "\u2764", "\U0001F525", "\u2764\u200D\U0001F525",
+                     "\U0001F9FF", "\U0001FAFF", "\U0001FB00", "\xa9", "x\u200D"]),
+    st.text(alphabet="ab \t\n\xa0", max_size=4),
+), max_size=12).map("".join)
+
+
+class DroppedCount(logging.Handler):
+    """Sums the counts of `emoji_to_words`'s dropped-emoji warnings."""
+
+    def __init__(self):
+        super().__init__()
+        self.total = 0
+
+    def emit(self, record):
+        self.total += record.args[0]
+
+
 class TestEmojiToWords:
+    @pytest.mark.parametrize("table_name", ["bundled", "multi_key"])
+    @settings(max_examples=300, deadline=None)
+    @given(text=WHITESPACE_AND_EMOJI)
+    def test_matches_two_pass_join(self, table_name, text, emoji):
+        """Stripping each plain-text run as it is collected gives the string
+        and the logged dropped-emoji count of the two-pass join."""
+        table = emoji if table_name == "bundled" else MULTI_KEY_TABLE
+        expected, dropped = two_pass_emoji_to_words(text, table)
+        counter = DroppedCount()
+        textnorm.log.addHandler(counter)
+        try:
+            out = emoji_to_words(text, table)
+        finally:
+            textnorm.log.removeHandler(counter)
+        assert out == expected
+        assert counter.total == dropped
+
     @pytest.mark.parametrize("table_name", ["bundled", "multi_key"])
     def test_matches_character_walk(self, table_name, emoji):
         table = emoji if table_name == "bundled" else MULTI_KEY_TABLE

@@ -295,8 +295,8 @@ class TestOneGraphPerStep:
 
     def test_ragged_seeded_run_matches_composed_ops(self, monkeypatch):
         """A seeded `train` run with dropout on ragged 1-20 word tweets gives
-        the loss history and parameter bytes, in the same process, that the
-        composed ops give: `x @ w + b` for `affine`, `composed_rows` and
+        the first step's gradient bytes, the loss history and the parameter
+        bytes, in the same process, that the composed ops give: `x @ w + b` for `affine`, `composed_rows` and
         `composed_residual_norm` (single-table gathers, `x * Tensor(mask)`
         with a float mask for dropout, `+` and the composed layer norm), the
         kept-tanh GELU, and a backward that frees nothing."""
@@ -316,10 +316,19 @@ class TestOneGraphPerStep:
         config = TrainConfig(learning_rate=3e-3, batch_size=16, max_epochs=2, patience=2,
                              seed=9)
 
+        ids, mask = encode_batch([e.tweet.text for e in examples[:16]], vocab, cfg.max_len)
+        targets, real = batch_targets(examples[:16])
+
         def run():
-            model, history = train(MtlModel(cfg, HeadConfig(hidden=8), seed=7), vocab,
-                                   examples[:32], examples[32:], config)
-            return [x.hex() for x in history.train_loss], param_digest(model.params)
+            # one step's gradients first: Adam's first update is about
+            # lr * sign(g), so the trained parameters can hide a change in
+            # the gradients' last bits
+            model = MtlModel(cfg, HeadConfig(hidden=8), seed=7)
+            logits = model.logits_mtl(ids, mask, np.random.default_rng(9))
+            mtl_loss(logits, targets, LossWeights(), real)[0].backward()
+            grads = param_digest({name: Tensor(t.grad) for name, t in model.params.items()})
+            model, history = train(model, vocab, examples[:32], examples[32:], config)
+            return grads, [x.hex() for x in history.train_loss], param_digest(model.params)
 
         def composed_affine(x, w, b):
             return x @ w + b
