@@ -296,7 +296,8 @@ class TestOneGraphPerStep:
     def test_ragged_seeded_run_matches_composed_ops(self, monkeypatch):
         """A seeded `train` run with dropout on ragged 1-20 word tweets gives
         the first step's gradient bytes, the loss history and the parameter
-        bytes, in the same process, that the composed ops give: `x @ w + b` for `affine`, `composed_rows` and
+        bytes, in the same process, that the composed ops give: `x @ w + b`
+        for `affine`, `composed_rows` and
         `composed_residual_norm` (single-table gathers, `x * Tensor(mask)`
         with a float mask for dropout, `+` and the composed layer norm), the
         kept-tanh GELU, and a backward that frees nothing."""
