@@ -8,6 +8,7 @@ also writes the fully-resolved config next to them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import sys
@@ -80,18 +81,32 @@ def _norm_context(args) -> corpus.NormContext:
     return corpus.NormContext(emoji=emoji, unigrams=unigrams)
 
 
-def _train_config(config: dict) -> training.TrainConfig:
-    section = dict(config["train"])
-    section["loss_weights"] = mtl.LossWeights(*section["loss_weights"])
-    return training.TrainConfig(**section)
+def _configs(config: dict):
+    """The encoder, head and train configs of a loaded `config`, and its
+    vocabulary arguments. Each dataclass checks its values, so a bad one is
+    reported before any corpus or table is read. The encoder's vocab_size
+    stays 0 until a vocabulary exists."""
+    train = dict(config["train"], loss_weights=mtl.LossWeights(*config["train"]["loss_weights"]))
+    return (EncoderConfig(**config["encoder"]), mtl.HeadConfig(**config["head"]),
+            training.TrainConfig(**train), config["vocab"])
 
 
-def _build_model(config: dict, vocab_size: int, seed: int) -> mtl.MtlModel:
-    enc = EncoderConfig(vocab_size=vocab_size, **config["encoder"])
-    return mtl.MtlModel(enc, mtl.HeadConfig(**config["head"]), seed=seed)
+def _seeded_model(examples, encoder: EncoderConfig, head: mtl.HeadConfig,
+                  seed: int, vocab_args: dict) -> tuple[mtl.MtlModel, tokenizer.Vocabulary]:
+    """The vocabulary built from the tweets of `examples`, and the model it
+    sizes, seeded with `seed`."""
+    vocab = tokenizer.build_vocab([ex.tweet.text for ex in examples], **vocab_args)
+    encoder = dataclasses.replace(encoder, vocab_size=len(vocab))
+    return mtl.MtlModel(encoder, head, seed=seed), vocab
 
 
-def _echo_config(config: dict, out_path: str) -> None:
+def _echo_config(out_path: str, model: mtl.MtlModel, train: training.TrainConfig,
+                 vocab_args: dict) -> None:
+    """Write the config a run used, as built, to `<out_path>.config.json`: the
+    architecture of the model it trained, which may come from a checkpoint."""
+    config = {"encoder": _encoder_section(model.encoder_config),
+              "head": model.head_config.to_dict(), "train": train.to_dict(),
+              "vocab": vocab_args}
     with open(out_path + ".config.json", "w", encoding="utf-8") as handle:
         json.dump(config, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -115,44 +130,37 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = load_config(args.config)
+    encoder_cfg, head_cfg, train_cfg, vocab_args = _configs(load_config(args.config))
     context = _norm_context(args)
     train_examples = corpus.load_labeled(args.train, context)
     val_examples = corpus.load_labeled(args.val, context)
-    train_cfg = _train_config(config)
     print("train: " + json.dumps(train_cfg.to_dict(), sort_keys=True))
     if args.init_from:
         model, vocab, _ = checkpoint.load_checkpoint(args.init_from)
-        # echo the architecture that is trained, not the config's
-        config["encoder"] = _encoder_section(model.encoder_config)
-        config["head"] = model.head_config.to_dict()
         print(f"vocabulary and architecture from {args.init_from}")
     else:
-        vocab = tokenizer.build_vocab([ex.tweet.text for ex in train_examples],
-                                      **config["vocab"])
-        model = _build_model(config, len(vocab), train_cfg.seed)
+        model, vocab = _seeded_model(train_examples, encoder_cfg, head_cfg, train_cfg.seed,
+                                     vocab_args)
     model, history = training.train(model, vocab, train_examples, val_examples,
                                     train_cfg)
     checkpoint.save_checkpoint(args.out, model, vocab, train_cfg.loss_weights)
     _write_lines(args.out + ".metrics.txt", history.to_lines())
-    _echo_config(config, args.out)
+    _echo_config(args.out, model, train_cfg, vocab_args)
     print(f"best_epoch={history.best_epoch} stopped_epoch={history.stopped_epoch} "
           f"best_val_f1_a={max(history.val_f1['a']):.4f}")
     return 0
 
 
 def cmd_pretrain(args) -> int:
-    config = load_config(args.config)
+    encoder_cfg, head_cfg, train_cfg, vocab_args = _configs(load_config(args.config))
     context = _norm_context(args)
     scored = corpus.load_scored(args.scored, context)
-    vocab = tokenizer.build_vocab([ex.tweet.text for ex in scored], **config["vocab"])
-    train_cfg = _train_config(config)
-    model = _build_model(config, len(vocab), train_cfg.seed)
+    model, vocab = _seeded_model(scored, encoder_cfg, head_cfg, train_cfg.seed, vocab_args)
     model, epoch_mse = training.pretrain_regression(model, vocab, scored, train_cfg)
     checkpoint.save_checkpoint(args.out, model, vocab, train_cfg.loss_weights)
     _write_lines(args.out + ".metrics.txt",
                  [f"{i + 1}\t{mse:.6f}" for i, mse in enumerate(epoch_mse)])
-    _echo_config(config, args.out)
+    _echo_config(args.out, model, train_cfg, vocab_args)
     print(f"pretrained {len(scored)} scored examples, "
           f"final_mse={epoch_mse[-1]:.6f}")
     return 0
@@ -220,13 +228,12 @@ def cmd_gradcheck(args) -> int:
         # finite differences over every parameter; only tractable tiny
         for section, values in GRADCHECK_CONFIG.items():
             config[section].update(values)
+    encoder_cfg, head_cfg, train_cfg, vocab_args = _configs(config)
     from .synth import make_hierarchical_corpus
 
-    examples = make_hierarchical_corpus(args.batch, seed=config["train"]["seed"])
-    weights = mtl.LossWeights(*config["train"]["loss_weights"])
-    vocab = tokenizer.build_vocab([ex.tweet.text for ex in examples], **config["vocab"])
-    model = _build_model(config, len(vocab), config["train"]["seed"])
-    error = training.check_gradients(model, examples, vocab, weights,
+    examples = make_hierarchical_corpus(args.batch, seed=train_cfg.seed)
+    model, vocab = _seeded_model(examples, encoder_cfg, head_cfg, train_cfg.seed, vocab_args)
+    error = training.check_gradients(model, examples, vocab, train_cfg.loss_weights,
                                      epsilon=args.epsilon)
     ok = error <= 1e-3
     print(f"params={model.n_params()} max_relative_error={error:.3e} "

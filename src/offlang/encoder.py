@@ -40,7 +40,7 @@ class EncoderConfig:
     vocab_size: int = 0       # filled from the vocabulary at build time
     dropout_rate: float = 0.1
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if min(self.d_model, self.n_layers, self.n_heads, self.d_ffn) < 1:
             raise ValueError("all encoder dimensions must be >= 1")
         if self.d_model % self.n_heads != 0:
@@ -66,8 +66,7 @@ def linear(layout: dict[str, tuple[int, ...]], name: str, fan_in: int,
 
 def encoder_layout(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     """The encoder's parameter names and shapes, in initialization order.
-    An invalid config raises ValueError."""
-    config.validate()
+    A vocab_size too small for the reserved tokens raises ValueError."""
     if config.vocab_size < 3:
         raise ValueError("vocab_size must cover the reserved tokens")
     d = config.d_model

@@ -116,8 +116,8 @@ def head_layout(encoder_config: EncoderConfig,
 def parameter_layout(encoder_config: EncoderConfig,
                      head_config: HeadConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter name of the model and its shape, in initialization
-    order: the encoder's, then the heads'. An invalid encoder config raises
-    ValueError."""
+    order: the encoder's, then the heads'. A vocab_size too small for the
+    reserved tokens raises ValueError."""
     return {**encoder_layout(encoder_config), **head_layout(encoder_config, head_config)}
 
 

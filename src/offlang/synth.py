@@ -48,6 +48,19 @@ _FILLER = ["the", "so", "very", "really", "just", "a", "what", "is", "that",
 
 _NOT_TRIPLE = LabelTriple(TaskLabelA.NOT, TaskLabelB.NULL, TaskLabelC.NULL)
 _UNT_TRIPLE = LabelTriple(TaskLabelA.OFF, TaskLabelB.UNT, TaskLabelC.NULL)
+_NAMES = list(_CATEGORIES)
+
+
+def _draw(rng: np.random.Generator, n_words: int,
+          tweet_id: str) -> tuple[str, NormalizedTweet]:
+    """One example's latent category and its tweet: two of the category's
+    indicator words and `n_words - 2` filler words, shuffled."""
+    name = _NAMES[rng.integers(len(_NAMES))]
+    indicators = _CATEGORIES[name][1]
+    words = [indicators[rng.integers(len(indicators))] for _ in range(2)]
+    words += [_FILLER[rng.integers(len(_FILLER))] for _ in range(n_words - 2)]
+    rng.shuffle(words)
+    return name, NormalizedTweet(id=tweet_id, text=" ".join(words), steps_applied=())
 
 
 def make_hierarchical_corpus(n: int, seed: int, noise_a: float = 0.0,
@@ -56,18 +69,12 @@ def make_hierarchical_corpus(n: int, seed: int, noise_a: float = 0.0,
     with probability noise_a (B/C stay deterministic functions of the latent
     unless the flip forces a consistent placeholder)."""
     rng = np.random.default_rng(seed)
-    names = list(_CATEGORIES)
     examples = []
     for i in range(n):
-        name = names[rng.integers(len(names))]
-        triple, indicators = _CATEGORIES[name]
-        words = [indicators[rng.integers(len(indicators))] for _ in range(2)]
-        words += [_FILLER[rng.integers(len(_FILLER))] for _ in range(n_words - 2)]
-        rng.shuffle(words)
+        name, tweet = _draw(rng, n_words, f"synth{i}")
+        triple = _CATEGORIES[name][0]
         if noise_a > 0.0 and rng.random() < noise_a:
             triple = _UNT_TRIPLE if triple.a is TaskLabelA.NOT else _NOT_TRIPLE
-        tweet = NormalizedTweet(id=f"synth{i}", text=" ".join(words),
-                                steps_applied=())
         examples.append(LabeledExample(tweet=tweet, labels=triple))
     return examples
 
@@ -75,18 +82,11 @@ def make_hierarchical_corpus(n: int, seed: int, noise_a: float = 0.0,
 def make_scored_corpus(n: int, seed: int, n_words: int = 6) -> list[ScoredExample]:
     """Scored examples whose confidence tracks how offensive the latent is."""
     rng = np.random.default_rng(seed)
-    names = list(_CATEGORIES)
     examples = []
     for i in range(n):
-        name = names[rng.integers(len(names))]
-        _, indicators = _CATEGORIES[name]
-        words = [indicators[rng.integers(len(indicators))] for _ in range(2)]
-        words += [_FILLER[rng.integers(len(_FILLER))] for _ in range(n_words - 2)]
-        rng.shuffle(words)
+        name, tweet = _draw(rng, n_words, f"scored{i}")
         base = 0.15 if name == "none" else 0.75
         avg = float(np.clip(base + rng.normal(0, 0.08), 0.0, 1.0))
-        tweet = NormalizedTweet(id=f"scored{i}", text=" ".join(words),
-                                steps_applied=())
         examples.append(ScoredExample(tweet=tweet, avg_conf=avg,
                                       std_conf=float(abs(rng.normal(0, 0.05)))))
     return examples

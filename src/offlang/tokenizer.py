@@ -59,7 +59,10 @@ def build_vocab(corpus, min_freq: int = 1, max_size: int | None = None) -> Vocab
     """Count whitespace tokens; keep those with frequency >= min_freq, most
     frequent first (alphabetical among ties), capped at max_size including
     the reserved tokens. A text token spelled like a reserved name gets no
-    entry of its own, and `encode_batch` maps it to UNK."""
+    entry of its own, and `encode_batch` maps it to UNK. If no text token is
+    kept, every token would encode as UNK: that raises one ValueError that
+    names max_size if it leaves no room beside the reserved tokens, and
+    min_freq otherwise."""
     if min_freq < 1:
         raise ValueError("min_freq must be >= 1")
     counts = Counter()
@@ -71,6 +74,9 @@ def build_vocab(corpus, min_freq: int = 1, max_size: int | None = None) -> Vocab
     tokens = [tok for tok, freq in ranked if freq >= min_freq and tok not in RESERVED]
     if max_size is not None:
         tokens = tokens[: max(max_size - len(RESERVED), 0)]
+    if not tokens:
+        key = "max_size" if max_size is not None and max_size <= len(RESERVED) else "min_freq"
+        raise ValueError(f"vocab {key} leaves no text token, so every token would be UNK")
     mapping = {tok: i for i, tok in enumerate(RESERVED)}
     for tok in tokens:
         mapping[tok] = len(mapping)

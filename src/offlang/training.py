@@ -33,6 +33,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be a finite positive number")
         if min(self.batch_size, self.max_epochs, self.patience) < 1:
             raise ValueError("batch_size, max_epochs and patience must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, not {self.seed}")
 
     def to_dict(self):
         d = asdict(self)
@@ -180,6 +182,23 @@ def fit(params: dict[str, Tensor], n: int, step_loss, config: TrainConfig,
     return history
 
 
+def mtl_objective(model: MtlModel, examples: list[LabeledExample],
+                  vocab: Vocabulary, weights: LossWeights):
+    """The weighted multi-task loss of `examples` as `loss(batch, rng)`: the
+    scalar loss of the examples at the indices `batch`, with dropout masks
+    drawn from `rng`, or no dropout if it is None. `train` steps on it, and
+    `check_gradients` differentiates it."""
+    ids, mask = _encode_examples(examples, vocab, model.encoder_config.max_len)
+    targets, real = batch_targets(examples)
+
+    def loss(batch, rng):
+        logits = model.logits_mtl(ids[batch], mask[batch], rng)
+        return mtl_loss(logits, {t: targets[t][batch] for t in targets},
+                        weights, real[batch])[0]
+
+    return loss
+
+
 def train(model: MtlModel, vocab: Vocabulary,
           train_examples: list[LabeledExample],
           val_examples: list[LabeledExample],
@@ -188,17 +207,9 @@ def train(model: MtlModel, vocab: Vocabulary,
     macro-F1; returns the parameters from the best epoch."""
     if not train_examples or not val_examples:
         raise ValueError("train and validation corpora must be non-empty")
-    ids, mask = _encode_examples(train_examples, vocab, model.encoder_config.max_len)
-    targets, real = batch_targets(train_examples)
-
-    def step_loss(batch, rng):
-        logits = model.logits_mtl(ids[batch], mask[batch], rng)
-        loss, _, _ = mtl_loss(logits, {t: targets[t][batch] for t in targets},
-                              config.loss_weights, real[batch])
-        return loss
-
-    history = fit(model.params, len(train_examples), step_loss, config,
-                  np.random.default_rng(config.seed),
+    history = fit(model.params, len(train_examples),
+                  mtl_objective(model, train_examples, vocab, config.loss_weights),
+                  config, np.random.default_rng(config.seed),
                   lambda: validation_f1(model, val_examples, vocab))
     return model, history
 
@@ -280,22 +291,20 @@ def check_gradients(model: MtlModel, examples: list[LabeledExample],
                     vocab: Vocabulary, weights: LossWeights,
                     epsilon: float = 1e-4) -> float:
     """Max relative error between analytic and central-difference gradients
-    of the multi-task loss, over every parameter entry. Dropout is off. A
-    NaN error on any entry makes the result NaN, so it cannot pass a
-    tolerance check. `epsilon` must be finite and positive."""
+    of `mtl_objective`'s loss on all of `examples`, over every parameter
+    entry. Dropout is off. A NaN error on any entry makes the result NaN,
+    so it cannot pass a tolerance check. `epsilon` must be finite and
+    positive."""
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be a finite positive number, not {epsilon}")
-    ids, mask = _encode_examples(examples, vocab, model.encoder_config.max_len)
-    targets, real = batch_targets(examples)
+    loss_of = mtl_objective(model, examples, vocab, weights)
+    everything = np.arange(len(examples))
 
     def loss_value() -> float:
         with no_grad():
-            logits = model.logits_mtl(ids, mask, rng=None)
-            loss, _, _ = mtl_loss(logits, targets, weights, real)
-        return float(loss.data)
+            return float(loss_of(everything, None).data)
 
-    logits = model.logits_mtl(ids, mask, rng=None)
-    loss, _, _ = mtl_loss(logits, targets, weights, real)
+    loss = loss_of(everything, None)
     if not np.isfinite(loss.data):
         raise NonFiniteLossError("non-finite loss in gradient check")
     model.zero_grad()

@@ -103,6 +103,7 @@ BAD_CONFIGS = {
                         "loss weights must be finite and nonnegative"),
     "zero_heads": ({"encoder": {"n_heads": 0}}, "all encoder dimensions must be >= 1"),
     "zero_hidden": ({"head": {"hidden": 0}}, "head hidden size must be >= 1, not 0"),
+    "negative_seed": ({"train": {"seed": -1}}, "seed must be a nonnegative integer, not -1"),
 }
 
 
@@ -118,6 +119,41 @@ def test_bad_config_is_one_error_line(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain"])
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_is_reported_before_any_file_is_read(tmp_path, capsys, command, case):
+    """Every corpus and table path is missing, yet the error is the config's."""
+    config, message = BAD_CONFIGS[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    missing = str(tmp_path / "missing.tsv")
+    corpora = ["--train", missing, "--val", missing] if command == "train" else ["--scored", missing]
+    code = dispatch([command, "--config", str(path), *corpora, "--emoji", missing,
+                     "--unigrams", missing, "--out", str(tmp_path / "m.ckpt")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain"])
+@pytest.mark.parametrize("vocab, key", [({"max_size": 2}, "max_size"),
+                                        ({"max_size": 3}, "max_size"),
+                                        ({"min_freq": 1000}, "min_freq")])
+def test_vocabulary_of_reserved_tokens_only_is_one_error_line(tmp_path, capsys, command,
+                                                             vocab, key):
+    """A vocabulary with no text token would encode every tweet as UNK."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "vocab": vocab}), encoding="utf-8")
+    corpora = (["--train", write_labeled(tmp_path, "train.tsv", 16, seed=1),
+                "--val", write_labeled(tmp_path, "val.tsv", 8, seed=2)]
+               if command == "train" else ["--scored", write_scored(tmp_path, "s.tsv", 16, 1)])
+    code = dispatch([command, "--config", str(config), *corpora, "--out", str(tmp_path / "m.ckpt")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: vocab {key} leaves no text token, so every token would be UNK\n"
     assert not (tmp_path / "m.ckpt").exists()
 
 

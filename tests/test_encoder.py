@@ -109,17 +109,17 @@ class TestInit:
 
     def test_invalid_head_split(self):
         with pytest.raises(ValueError):
-            EncoderConfig(d_model=6, n_heads=4, vocab_size=10).validate()
+            EncoderConfig(d_model=6, n_heads=4, vocab_size=10)
 
     @pytest.mark.parametrize("field", ["d_model", "n_layers", "n_heads", "d_ffn"])
     def test_zero_dimension(self, field):
         # n_heads 0 is checked before d_model % n_heads is computed
         with pytest.raises(ValueError, match="all encoder dimensions must be >= 1"):
-            tiny_config(**{field: 0}).validate()
+            tiny_config(**{field: 0})
 
     def test_invalid_max_len(self):
         with pytest.raises(ValueError):
-            tiny_config(max_len=1).validate()
+            tiny_config(max_len=1)
 
 
 class TestForward:

@@ -408,9 +408,8 @@ class TestParameterLayout:
         ({"n_heads": 3}, "not divisible by n_heads"),
     ])
     def test_invalid_config_rejected(self, change, message):
-        config = EncoderConfig(**{**self.CONFIG.to_dict(), **change})
         with pytest.raises(ValueError, match=message):
-            parameter_layout(config, HeadConfig())
+            parameter_layout(EncoderConfig(**{**self.CONFIG.to_dict(), **change}), HeadConfig())
 
     def test_from_arrays_keeps_values_and_layout_order(self):
         model = MtlModel(self.CONFIG, HeadConfig(hidden=8), seed=5)

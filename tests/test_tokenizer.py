@@ -53,6 +53,13 @@ class TestBuildVocab:
         vocab = build_vocab(["a a b"], min_freq=1, max_size=4)
         assert len(vocab) == 4 and "a" in vocab.token_to_id
 
+    @pytest.mark.parametrize("kwargs, key", [({"max_size": 3}, "max_size"),
+                                             ({"max_size": 0}, "max_size"),
+                                             ({"min_freq": 3}, "min_freq")])
+    def test_no_text_token_is_rejected(self, kwargs, key):
+        with pytest.raises(ValueError, match=f"vocab {key} leaves no text token"):
+            build_vocab(["a a b"], **kwargs)
+
     def test_empty_corpus(self):
         with pytest.raises(ValueError):
             build_vocab([""])

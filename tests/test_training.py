@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from offlang import autodiff, encoder, mtl, training
-from offlang.autodiff import Tensor
+from offlang.autodiff import Tensor, no_grad
 from offlang.encoder import EncoderConfig
 from offlang.mtl import (
     TASKS, HeadConfig, LossWeights, MtlModel, batch_targets, mtl_loss,
@@ -19,6 +19,7 @@ from offlang.training import (
     TrainConfig,
     check_gradients,
     fit,
+    mtl_objective,
     pretrain_regression,
     _cls_head,
     train,
@@ -555,3 +556,52 @@ class TestCheckGradients:
         error = check_gradients(model, examples[:2], vocab,
                                 LossWeights(1.0, 0.0, 0.0), epsilon=1e-4)
         assert error <= 1e-3
+
+
+class TestDirectionalGradients:
+    """The gradient referee at the size the model trains: the CLI's default
+    model on ragged tweets, checked along random directions v, as the
+    random-direction mode of JAX's `check_grads` does. The central
+    difference (L(θ + εv) - L(θ - εv)) / 2ε must match g · v. Every loss
+    evaluation re-seeds its generator, so each draws the same dropout masks.
+    This catches a gradient that is off by more than rounding; last-bit
+    changes are `test_seeded_bytes`' job."""
+
+    DIRECTIONS, EPSILON, TOLERANCE = 4, 1e-5, 1e-6
+
+    @pytest.mark.parametrize("rate", [0.1, 0.0])
+    def test_default_model_along_random_directions(self, rate):
+        examples = ragged_corpus(32, seed=3)
+        vocab = build_vocab([ex.tweet.text for ex in examples])
+        model = MtlModel(EncoderConfig(vocab_size=len(vocab), max_len=64, dropout_rate=rate),
+                         HeadConfig(), seed=0)
+        objective = mtl_objective(model, examples, vocab, LossWeights())
+        batch = np.arange(len(examples))
+
+        def loss():
+            return objective(batch, np.random.default_rng(11))
+
+        loss().backward()
+        params = list(model.params.values())
+        grads = [t.grad for t in params]
+        saved = [t.data.copy() for t in params]
+        rng = np.random.default_rng(0)
+
+        def shifted_loss(v, step):
+            for t, theta, d in zip(params, saved, v):
+                t.data[...] = theta + step * d
+            with no_grad():
+                return float(loss().data)
+
+        errors = []
+        for _ in range(self.DIRECTIONS):
+            v = [rng.standard_normal(theta.shape) for theta in saved]
+            norm = np.sqrt(sum(np.sum(d * d) for d in v))
+            v = [d / norm for d in v]
+            numeric = (shifted_loss(v, self.EPSILON) - shifted_loss(v, -self.EPSILON)) \
+                / (2 * self.EPSILON)
+            for t, theta in zip(params, saved):
+                t.data[...] = theta
+            analytic = sum(np.sum(g * d) for g, d in zip(grads, v))
+            errors.append(abs(numeric - analytic) / max(abs(numeric), abs(analytic)))
+        assert max(errors) < self.TOLERANCE, errors
