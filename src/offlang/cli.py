@@ -81,7 +81,7 @@ def _norm_context(args) -> corpus.NormContext:
     return corpus.NormContext(emoji=emoji, unigrams=unigrams)
 
 
-def _configs(config: dict):
+def _configs(config: dict) -> tuple[EncoderConfig, mtl.HeadConfig, training.TrainConfig, dict]:
     """The encoder, head and train configs of a loaded `config`, and its
     vocabulary arguments. Each dataclass checks its values, so a bad one is
     reported before any corpus or table is read. The encoder's vocab_size

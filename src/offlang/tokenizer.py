@@ -68,8 +68,8 @@ def build_vocab(corpus, min_freq: int = 1, max_size: int | None = None) -> Vocab
     counts = Counter()
     for text in corpus:
         counts.update(text.split())
-    if not counts:
-        raise ValueError("empty corpus")
+    if all(tok in RESERVED for tok in counts):     # also true of an empty corpus
+        raise ValueError("the corpus holds no text token")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     tokens = [tok for tok, freq in ranked if freq >= min_freq and tok not in RESERVED]
     if max_size is not None:

@@ -60,6 +60,10 @@ class TestBuildVocab:
         with pytest.raises(ValueError, match=f"vocab {key} leaves no text token"):
             build_vocab(["a a b"], **kwargs)
 
+    def test_corpus_of_reserved_names_only(self):
+        with pytest.raises(ValueError, match="the corpus holds no text token"):
+            build_vocab(["<pad> <cls>", "<unk>"])
+
     def test_empty_corpus(self):
         with pytest.raises(ValueError):
             build_vocab([""])
