@@ -100,16 +100,21 @@ def _seeded_model(examples, encoder: EncoderConfig, head: mtl.HeadConfig,
     return mtl.MtlModel(encoder, head, seed=seed), vocab
 
 
-def _echo_config(out_path: str, model: mtl.MtlModel, train: training.TrainConfig,
-                 vocab_args: dict) -> None:
-    """Write the config a run used, as built, to `<out_path>.config.json`: the
-    architecture of the model it trained, which may come from a checkpoint."""
+def _save_run(out_path: str, model: mtl.MtlModel, vocab: tokenizer.Vocabulary,
+              train: training.TrainConfig, vocab_args: dict | None, metrics) -> None:
+    """Write a run's outputs: the checkpoint at `out_path`, the `metrics`
+    lines at `<out_path>.metrics.txt`, and the config the run used, as built,
+    at `<out_path>.config.json`. That config holds the architecture of the
+    model trained, which may come from a checkpoint, and `vocab_args` as its
+    vocab section unless they are None, as when the vocabulary came from a
+    checkpoint."""
+    checkpoint.save_checkpoint(out_path, model, vocab, train.loss_weights)
+    _write_lines(out_path + ".metrics.txt", metrics)
     config = {"encoder": _encoder_section(model.encoder_config),
-              "head": model.head_config.to_dict(), "train": train.to_dict(),
-              "vocab": vocab_args}
-    with open(out_path + ".config.json", "w", encoding="utf-8") as handle:
-        json.dump(config, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+              "head": model.head_config.to_dict(), "train": train.to_dict()}
+    if vocab_args is not None:
+        config["vocab"] = vocab_args
+    _write_lines(out_path + ".config.json", [json.dumps(config, indent=2, sort_keys=True)])
 
 
 def _write_lines(path: str, lines) -> None:
@@ -137,15 +142,14 @@ def cmd_train(args) -> int:
     print("train: " + json.dumps(train_cfg.to_dict(), sort_keys=True))
     if args.init_from:
         model, vocab, _ = checkpoint.load_checkpoint(args.init_from)
+        vocab_args = None
         print(f"vocabulary and architecture from {args.init_from}")
     else:
         model, vocab = _seeded_model(train_examples, encoder_cfg, head_cfg, train_cfg.seed,
                                      vocab_args)
     model, history = training.train(model, vocab, train_examples, val_examples,
                                     train_cfg)
-    checkpoint.save_checkpoint(args.out, model, vocab, train_cfg.loss_weights)
-    _write_lines(args.out + ".metrics.txt", history.to_lines())
-    _echo_config(args.out, model, train_cfg, vocab_args)
+    _save_run(args.out, model, vocab, train_cfg, vocab_args, history.to_lines())
     print(f"best_epoch={history.best_epoch} stopped_epoch={history.stopped_epoch} "
           f"best_val_f1_a={max(history.val_f1['a']):.4f}")
     return 0
@@ -157,10 +161,8 @@ def cmd_pretrain(args) -> int:
     scored = corpus.load_scored(args.scored, context)
     model, vocab = _seeded_model(scored, encoder_cfg, head_cfg, train_cfg.seed, vocab_args)
     model, epoch_mse = training.pretrain_regression(model, vocab, scored, train_cfg)
-    checkpoint.save_checkpoint(args.out, model, vocab, train_cfg.loss_weights)
-    _write_lines(args.out + ".metrics.txt",
-                 [f"{i + 1}\t{mse:.6f}" for i, mse in enumerate(epoch_mse)])
-    _echo_config(args.out, model, train_cfg, vocab_args)
+    _save_run(args.out, model, vocab, train_cfg, vocab_args,
+              [f"{i + 1}\t{mse:.6f}" for i, mse in enumerate(epoch_mse)])
     print(f"pretrained {len(scored)} scored examples, "
           f"final_mse={epoch_mse[-1]:.6f}")
     return 0

@@ -35,7 +35,7 @@ TASK_CLASSES = {
     "c": [l.value for l in TaskLabelC],
 }
 # rows per inference forward, so that inference memory does not grow with
-# the corpus; also the training batch size
+# the corpus; training batches have TrainConfig.batch_size rows instead
 CHUNK_ROWS = 32
 
 
@@ -249,22 +249,20 @@ def batch_targets(examples: list[LabeledExample]):
 
 def mtl_loss(logits: dict[str, Tensor], targets: dict[str, np.ndarray],
              weights: LossWeights, real_mask: np.ndarray | None = None):
-    """Weighted sum of per-task mean cross-entropies.
+    """Weighted sum of per-task mean cross-entropies, as `(total, per_task,
+    empty)`: the total, each task's loss Tensor, and the tasks with no
+    contributing examples, whose loss is 0.
 
-    Synthetic examples (real_mask 0) contribute only to task A. A task with
-    no contributing examples gets loss 0 and is reported in the flags.
+    Synthetic examples (real_mask 0) contribute only to task A, so without
+    real examples `empty` is ["b", "c"]. Only tests read `empty`; it goes
+    once `bench/test_bench.py` stops unpacking three values.
     """
-    n = len(targets["a"])
-    if real_mask is None:
-        real_mask = np.ones(n)
-    ones = np.ones(n)
+    ones = np.ones(len(targets["a"]))
+    real_mask = ones if real_mask is None else real_mask
     task_weights = {"a": ones, "b": real_mask, "c": real_mask}
-    per_task = {}
-    empty = []
-    for task in TASKS:
-        if task_weights[task].sum() == 0.0:
-            empty.append(task)
-        per_task[task] = cross_entropy(logits[task], targets[task], task_weights[task])
+    per_task = {task: cross_entropy(logits[task], targets[task], task_weights[task])
+                for task in TASKS}
+    empty = [task for task in TASKS if task_weights[task].sum() == 0.0]
     w = weights.as_tuple()
     total = w[0] * per_task["a"] + w[1] * per_task["b"] + w[2] * per_task["c"]
     return total, per_task, empty

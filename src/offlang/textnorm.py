@@ -248,21 +248,12 @@ def _dp_segment(text: str, unigrams: UnigramTable) -> tuple[str, ...]:
     unigram log-probability, scores within _TIE_EPS tied, ties broken by
     fewest words, then by the lexicographically smaller word sequence.
     Candidates for the last word of each prefix are tried in order of their
-    start, and each prefix keeps only its best score, word count and the
-    start of its last word; a tie rebuilds the two word sequences it
-    compares. A candidate longer than the table's longest word is unknown
-    without a lookup."""
+    start, and each prefix keeps only its best score and its best word
+    tuple, which a tie compares directly. A candidate longer than the
+    table's longest word is unknown without a lookup."""
     n = len(text)
     known, unknown, longest = unigrams.log_probs, unigrams.unknown_log_prob, unigrams.longest
-    score, count, back = [0.0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
-
-    def words(end: int) -> list[str]:
-        out = []
-        while end:
-            out.append(text[back[end]:end])
-            end = back[end]
-        return out[::-1]
-
+    score, words = [0.0] * (n + 1), [()] * (n + 1)
     for end in range(1, n + 1):
         best, best_start = -math.inf, 0
         for start in range(end):
@@ -270,15 +261,15 @@ def _dp_segment(text: str, unigrams: UnigramTable) -> tuple[str, ...]:
             log_prob = known.get(text[start:end]) if length <= longest else None
             cand = score[start] + (unknown - length if log_prob is None else log_prob)
             if cand <= best + _TIE_EPS:
-                if cand < best - _TIE_EPS or count[start] > count[best_start]:
+                if cand < best - _TIE_EPS or len(words[start]) > len(words[best_start]):
                     continue
-                if (count[start] == count[best_start]
-                        and words(start) + [text[start:end]]
-                        >= words(best_start) + [text[best_start:end]]):
+                if (len(words[start]) == len(words[best_start])
+                        and words[start] + (text[start:end],)
+                        >= words[best_start] + (text[best_start:end],)):
                     continue
             best, best_start = cand, start
-        score[end], count[end], back[end] = best, count[best_start] + 1, best_start
-    return tuple(words(n))
+        score[end], words[end] = best, words[best_start] + (text[best_start:end],)
+    return words[n]
 
 
 def collapse_mentions(text: str) -> str:

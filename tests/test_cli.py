@@ -6,15 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from offlang import training
 from offlang.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
-from offlang.cli import GRADCHECK_CONFIG, dispatch
+from offlang.cli import CONFIG_FIELDS, DEFAULT_CONFIG, GRADCHECK_CONFIG, dispatch, load_config
 from offlang.corpus import save_labeled
 from offlang.encoder import EncoderConfig
 from offlang.mtl import HeadConfig, LossWeights, MtlModel, parameter_layout
 from offlang.synth import make_hierarchical_corpus, make_scored_corpus
-from offlang.tokenizer import build_vocab
+from offlang.tokenizer import RESERVED, build_vocab
 
 from test_mtl import flat_parameters, rewrite_checkpoint, write_per_name_checkpoint
 
@@ -155,6 +156,68 @@ def test_vocabulary_of_reserved_tokens_only_is_one_error_line(tmp_path, capsys, 
     assert code == 1
     assert err == f"error: vocab {key} leaves no text token, so every token would be UNK\n"
     assert not (tmp_path / "m.ckpt").exists()
+
+
+# values of each field's own type, out of range or at its edges, including
+# the vocabulary limits
+INTS = st.integers(-2, 12)
+VALUES_OF_TYPE = {
+    int: INTS,
+    int | None: st.one_of(st.none(), INTS),
+    float: st.sampled_from([-1.0, 0.0, 1e-3, 0.5, 0.99, 1.0, 2.0, float("nan"), float("inf")]),
+    LossWeights: st.lists(st.sampled_from([-0.1, 0.0, 0.3, 0.4, 0.5, 1.0, float("nan")]),
+                          min_size=3, max_size=3),
+}
+# values of the wrong type for some field
+ODD_VALUES = st.one_of(st.none(), st.booleans(), st.sampled_from(["", "8"]), st.just(0.5),
+                       st.lists(st.just(0.5), max_size=4), st.just({"max_size": 4}))
+SMALL_CONFIG = {**GRADCHECK_CONFIG, "train": {"max_epochs": 1, "batch_size": 8}}
+
+
+@st.composite
+def mutated_configs(draw):
+    """SMALL_CONFIG with one to three keys set: most to a value of the key's
+    own type, some to a value of another type, some unknown."""
+    config = json.loads(json.dumps(SMALL_CONFIG))
+    for _ in range(draw(st.integers(1, 3))):
+        section = draw(st.sampled_from(sorted(CONFIG_FIELDS)))
+        key, hint = draw(st.sampled_from(sorted(CONFIG_FIELDS[section].items(), key=str)))
+        kind = draw(st.sampled_from(["own type"] * 4 + ["other type", "unknown key"]))
+        if kind == "unknown key":
+            key = "extra"
+        config.setdefault(section, {})[key] = draw(
+            VALUES_OF_TYPE[hint] if kind == "own type" else ODD_VALUES)
+    return config
+
+
+@pytest.fixture(scope="module")
+def small_corpora(tmp_path_factory):
+    path = tmp_path_factory.mktemp("corpora")
+    return {"train": write_labeled(path, "train.tsv", 12, seed=1),
+            "val": write_labeled(path, "val.tsv", 6, seed=2),
+            "scored": write_scored(path, "scored.tsv", 12, seed=3)}
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain"])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=mutated_configs())
+def test_mutated_config_trains_on_text_or_is_one_error_line(tmp_path, capsys, small_corpora,
+                                                            command, config):
+    """A run either exits 0 with a vocabulary that holds a text token, or
+    exits 1 with exactly one `error:` line."""
+    path, out = tmp_path / "config.json", tmp_path / f"{command}.ckpt"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out.unlink(missing_ok=True)
+    corpora = (["--train", small_corpora["train"], "--val", small_corpora["val"]]
+               if command == "train" else ["--scored", small_corpora["scored"]])
+    code = dispatch([command, "--config", str(path), *corpora, "--out", str(out)])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert len(load_checkpoint(out)[1]) > len(RESERVED)
+    else:
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 def checkpoint_meta(**overrides):
@@ -481,6 +544,28 @@ class TestTrainEvaluate:
                                      if k != "vocab_size"}
         assert echoed["head"] == model.head_config.to_dict() == {"hidden": 16}
         assert vocab.token_to_id == warm_vocab.token_to_id
+
+    def test_init_from_echoes_no_vocab_section(self, tmp_path, capsys):
+        """The vocabulary comes from the checkpoint, so the config's vocab
+        section is never applied and is not echoed."""
+        warm = tmp_path / "warm.ckpt"
+        assert dispatch(["pretrain", "--config", write_config(tmp_path), "--scored",
+                         write_scored(tmp_path, "scored.tsv", 24, seed=3),
+                         "--out", str(warm)]) == 0
+        config = tmp_path / "vocab.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "vocab": {"max_size": 6}}),
+                          encoding="utf-8")
+        ckpt = tmp_path / "m.ckpt"
+        assert dispatch(["train", "--config", str(config), "--init-from", str(warm),
+                         "--train", write_labeled(tmp_path, "train.tsv", 16, seed=1),
+                         "--val", write_labeled(tmp_path, "val.tsv", 8, seed=2),
+                         "--out", str(ckpt)]) == 0
+        echo = tmp_path / "m.ckpt.config.json"
+        echoed = json.loads(echo.read_text(encoding="utf-8"))
+        assert sorted(echoed) == ["encoder", "head", "train"]
+        _, vocab, _ = load_checkpoint(ckpt)
+        assert len(vocab) > 6
+        assert load_config(str(echo)) == {**echoed, "vocab": DEFAULT_CONFIG["vocab"]}
 
     def test_train_on_a_tweet_spelling_a_reserved_name(self, tmp_path, capsys):
         # normalization lowercases <PAD> to the PAD token's name

@@ -1,5 +1,5 @@
-"""Hashtag segmentation against the exhaustive-enumeration oracle and the
-tuple-building dynamic program that `_dp_segment` replaced."""
+"""Hashtag segmentation against the exhaustive-enumeration oracle and a
+reference dynamic program that builds a word tuple for every candidate."""
 
 import itertools
 
@@ -146,8 +146,11 @@ SEGMENT_TEXT = st.lists(
 
 
 class TestBackPointerDp:
-    """`_dp_segment` keeps scores and back-pointers; the reference keeps
-    word tuples. Their output must be identical."""
+    """`_dp_segment` keeps one best word tuple per prefix and looks up no
+    candidate longer than the table's longest word; the reference builds a
+    word tuple for every candidate and looks up each. Their output must be
+    identical. The class is named for the back pointers `_dp_segment` kept
+    before; the name stays so that the test ids do."""
 
     @settings(max_examples=300, deadline=None)
     @given(SEGMENT_TEXT)
