@@ -101,7 +101,7 @@ def _seeded_model(examples, encoder: EncoderConfig, head: mtl.HeadConfig,
 
 
 def _save_run(out_path: str, model: mtl.MtlModel, vocab: tokenizer.Vocabulary,
-              train: training.TrainConfig, vocab_args: dict | None, metrics) -> None:
+              train: training.TrainConfig, vocab_args: dict | None, metrics: list[str]) -> None:
     """Write a run's outputs: the checkpoint at `out_path`, the `metrics`
     lines at `<out_path>.metrics.txt`, and the config the run used, as built,
     at `<out_path>.config.json`. That config holds the architecture of the
